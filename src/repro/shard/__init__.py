@@ -13,7 +13,7 @@ Layout:
   math (:class:`ShardPlan`);
 * :mod:`repro.shard.gateway` — boundary links whose far endpoint is a
   serializing proxy (:class:`GatewayLink`, :class:`ShardGateway`): frames
-  cross shards via the v2 wire codec with slab-aware release on egress;
+  cross shards via the wire codec with slab-aware release on egress;
 * :mod:`repro.shard.worker` — the child-process event loop speaking the
   epoch protocol over a pipe;
 * :mod:`repro.shard.coordinator` — the parent-side barrier

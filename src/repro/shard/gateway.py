@@ -5,7 +5,7 @@ drop accounting — runs byte-identically to a serial run on the shard
 that owns the source node.  Only the final propagation step differs:
 :class:`GatewayLink` overrides :meth:`~repro.netsim.link.Link._propagate`
 to hand the frame to the shard's :class:`ShardGateway`, which encodes it
-with the v2 wire codec (the same ``encode_frame``/``decode_frame`` pair
+with the wire codec (the same ``encode_frame``/``decode_frame`` pair
 the real transport substrates use) and stamps its arrival time
 ``now + link.delay`` — exactly when the serial run's ``_arrive`` event
 would have fired on the far side.

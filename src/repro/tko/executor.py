@@ -319,6 +319,7 @@ class ReferenceExecutor(_ExecutorBase):
             s.context.detection.count_invoke("verify")
         if not s.context.detection.verify(pdu, frame.corrupted):
             s._notify("pdu-rejected", pdu=pdu)
+            pdu.discard()
             return
         t = pdu.ptype
         if t is PduType.DATA:
@@ -328,6 +329,7 @@ class ReferenceExecutor(_ExecutorBase):
         elif t is PduType.PARITY:
             for rebuilt in s.context.recovery.on_receive_repair(pdu):
                 self._handle_data(rebuilt)
+            pdu.discard()  # the repair window copied the shard out
         elif t is PduType.PROBE:
             reply = s.make_pdu(PduType.PROBE_REPLY)
             reply.timestamp = pdu.timestamp
@@ -344,6 +346,7 @@ class ReferenceExecutor(_ExecutorBase):
         buf = s.host.buffers.alloc(max(1, pdu.wire_size))
         if buf is None:
             s.stats.buffer_drops += 1
+            pdu.discard()
             return
         s._pdu_buffers[pdu.id] = buf
         ctx.recovery.note_data_received(pdu)
@@ -377,6 +380,8 @@ class ReferenceExecutor(_ExecutorBase):
         if repair is not None:
             for rebuilt in repair(pdu):
                 self._handle_data(rebuilt)
+        if not accepted:
+            pdu.discard()  # a rejected PDU's slab claim, dropped last
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
@@ -386,8 +391,12 @@ class ReferenceExecutor(_ExecutorBase):
             return
         combined = TKOMessage((), meter=s.copy_meter)
         for f in frags:
-            if f.message is not None:
-                combined.concat(f.message)
+            msg = f.message
+            if msg is not None:
+                combined.concat(msg)
+                # ``combined`` holds the bytes now: the fragment's own slab
+                # claim (a decoded PDU's receive lease) ends here
+                msg.release_payload()
         first = frags[0]
         if _TELEMETRY.enabled:
             s.context.jitter.count_invoke("release_delay")
@@ -666,8 +675,7 @@ class CompiledExecutor(_ExecutorBase):
         if not self._det_verify(pdu, frame.corrupted):
             if s.observers:
                 s._notify("pdu-rejected", pdu=pdu)
-            if pdu.pooled:
-                pdu.release()
+            pdu.discard()
             return
         t = pdu.ptype
         if t is PduType.DATA:
@@ -679,6 +687,7 @@ class CompiledExecutor(_ExecutorBase):
         elif t is PduType.PARITY:
             for rebuilt in self._rec_repair(pdu):
                 self._handle_data(rebuilt)
+            pdu.discard()  # the repair window copied the shard out
         elif t is PduType.PROBE:
             reply = s.make_pdu(PduType.PROBE_REPLY)
             reply.timestamp = pdu.timestamp
@@ -694,8 +703,7 @@ class CompiledExecutor(_ExecutorBase):
         buf = s.host.buffers.alloc(max(1, pdu.wire_size))
         if buf is None:
             s.stats.buffer_drops += 1
-            if pdu.pooled:
-                pdu.release()
+            pdu.discard()
             return
         s._pdu_buffers[pdu.id] = buf
         self._rec_note(pdu)
@@ -727,8 +735,8 @@ class CompiledExecutor(_ExecutorBase):
         if repair is not None:
             for rebuilt in repair(pdu):
                 self._handle_data(rebuilt)
-        if not accepted and pdu.pooled:
-            pdu.release()  # wire ref of a rejected PDU, dropped last
+        if not accepted:
+            pdu.discard()  # wire ref of a rejected PDU, dropped last
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
@@ -738,8 +746,12 @@ class CompiledExecutor(_ExecutorBase):
             return  # wire ref parked in the reassembler until complete
         combined = TKOMessage((), meter=s.copy_meter)
         for f in frags:
-            if f.message is not None:
-                combined.concat(f.message)
+            msg = f.message
+            if msg is not None:
+                combined.concat(msg)
+                # ``combined`` holds the bytes now: the fragment's own slab
+                # claim (a decoded PDU's receive lease) ends here
+                msg.release_payload()
         first = frags[0]
         for f in frags[1:]:
             if f.pooled:

@@ -177,6 +177,16 @@ class PDU:
             if self._refs <= 0:
                 PDU_POOL.recycle(self)
 
+    def discard(self) -> None:
+        """Terminal point for a *received* PDU that will not be delivered
+        (rejected, unclaimed, or its payload already copied out): drop the
+        wire's reference on a pooled shell, or — on the unpooled PDU a
+        real substrate decoded — the slab claim its message holds."""
+        if self.pooled:
+            self.release()
+        elif self.message is not None:
+            self.message.release_payload()
+
     # ------------------------------------------------------------------
     def as_header(self) -> Header:
         """Render as a :class:`~repro.tko.message.Header` for the message."""

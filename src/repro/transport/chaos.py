@@ -5,7 +5,7 @@ cross-connected loopback fabric pair, impairs *both* directions with one
 :class:`~repro.transport.impair.ImpairmentSpec`, negotiates MANTTS with
 timeout-retry enabled, pushes ``n_messages`` checksummed payloads
 through TKO, and reports what survived: delivery count, digest match,
-pooled-PDU balance, and the ordered impairment traces.
+pooled-PDU and slab-lease balance, and the ordered impairment traces.
 
 Two modes share the code path:
 
@@ -132,6 +132,8 @@ def run_impaired_transfer(
         "send_errors": imp_a.send_errors + imp_b.send_errors,
         "pool_delta": (PDU_POOL.acquired - pool0[0],
                        PDU_POOL.recycled - pool0[1]),
+        "slab_leases_live": (ta.network.arena.live_leases
+                             + tb.network.arena.live_leases),
         "timeline_s": ta.clock.now(),
     }
     ta.close()

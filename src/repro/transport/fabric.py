@@ -225,10 +225,9 @@ class RealFabric:
         handler = self._handlers.get(frame.dst)
         if handler is None:
             self._count("transport_frames_unrouted_total")
-            payload = frame.payload
-            if isinstance(payload, PDU) and payload.message is not None:
+            if isinstance(frame.payload, PDU):
                 # an undeliverable decoded frame surrenders its slab claim
-                payload.message.release_payload()
+                frame.payload.discard()
             return
         self.frames_delivered += 1
         self._count("transport_frames_delivered_total")

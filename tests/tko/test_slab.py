@@ -223,12 +223,21 @@ class TestPduPoolEdges:
 
 
 class TestCodecFailureRelease:
-    """Every decode failure after the slab allocation must release it."""
+    """No decode failure may leak a slab claim: every structural check
+    runs before the allocation, and a failure after it releases."""
 
-    def _encode(self, payload=b"w" * 64, conn=3):
+    #: Frame("A", "B"): envelope, then two one-byte names with their
+    #: length bytes, then the fixed PDU header
+    PDU_OFF = 20 + 4
+    PFLAGS_OFF = PDU_OFF + 1
+    PAYLOAD_LEN_OFF = PDU_OFF + 60
+    TAIL_OFF = PDU_OFF + 72
+
+    def _encode(self, payload=b"w" * 64, conn=3, **pdu_fields):
         from repro.netsim.frame import Frame, encode_frame
 
-        pdu = PDU(PduType.DATA, conn, seq=1, message=TKOMessage(payload))
+        pdu = PDU(PduType.DATA, conn, seq=1, message=TKOMessage(payload),
+                  **pdu_fields)
         frame = Frame("A", "B", 512, payload=pdu)
         return encode_frame(frame)
 
@@ -238,6 +247,14 @@ class TestCodecFailureRelease:
         import zlib
 
         return body + struct.pack("!I", zlib.crc32(body))
+
+    def _refused(self, bad: bytes, match: str) -> None:
+        from repro.netsim.frame import WireFormatError, decode_frame
+
+        arena = SlabArena()
+        with pytest.raises(WireFormatError, match=match):
+            decode_frame(bad, arena=arena)
+        assert arena.live_leases == 0
 
     def test_valid_datagram_stores_payload_in_arena(self):
         from repro.netsim.frame import decode_frame
@@ -249,41 +266,82 @@ class TestCodecFailureRelease:
         assert arena.live_leases == 0
 
     def test_malformed_pdu_fields_release_the_lease(self):
-        from repro.netsim.frame import WireFormatError, decode_frame
+        data = bytearray(self._encode()[:-4])
+        # a type code outside the pinned table, re-trailed so the CRC
+        # admits the datagram
+        data[self.PDU_OFF] = 0xEE
+        self._refused(self._retail(bytes(data)), "unknown PDU type code 238")
 
-        arena = SlabArena()
-        data = self._encode()
-        # corrupt the PDU type in the JSON header (same length keeps the
-        # layout intact), then re-trail so the CRC admits the datagram
-        bad = self._retail(data[:-4].replace(b'"t":"data"', b'"t":"dada"'))
-        with pytest.raises(WireFormatError):
-            decode_frame(bad, arena=arena)
-        assert arena.leases_issued == 1
-        assert arena.live_leases == 0
+    def _options_not_an_object(self) -> bytes:
+        body = self._encode(options={"k": 1})[:-4]
+        assert body[self.TAIL_OFF + 4:self.TAIL_OFF + 11] == b'{"k":1}'
+        return body.replace(b'{"k":1}', b'[1,2,3]')
+
+    def _type_code_zero(self) -> bytes:
+        data = bytearray(self._encode()[:-4])
+        data[self.PDU_OFF] = 0
+        return bytes(data)
+
+    def _payload_without_message(self) -> bytes:
+        data = bytearray(self._encode()[:-4])
+        data[self.PFLAGS_OFF] &= ~0x01  # has_message clear, length still 64
+        return bytes(data)
+
+    def _sack_count_overrun(self) -> bytes:
+        data = bytearray(self._encode(sack=(4, 6))[:-4])
+        # claim more sack entries than the rest of the datagram holds
+        data[self.TAIL_OFF:self.TAIL_OFF + 2] = (0xFFFF).to_bytes(2, "big")
+        return bytes(data)
+
+    def _placement_code_three(self) -> bytes:
+        data = bytearray(self._encode()[:-4])
+        data[self.PFLAGS_OFF] |= 0x30
+        return bytes(data)
+
+    def _undecodable_host_name(self) -> bytes:
+        data = bytearray(self._encode()[:-4])
+        data[21] = 0xFF  # the one byte of src: not UTF-8
+        return bytes(data)
+
+    @pytest.mark.parametrize("tamper, match", [
+        ("_options_not_an_object", "not an object"),
+        ("_type_code_zero", "unknown PDU type code 0"),
+        ("_payload_without_message", "without a message"),
+        ("_sack_count_overrun", "sack count overruns"),
+        ("_placement_code_three", "placement"),
+        ("_undecodable_host_name", "host name"),
+    ])
+    def test_crc_valid_but_malformed_tail_is_refused(self, tamper, match):
+        """decode must not trust the shape of anything the CRC admits."""
+        self._refused(self._retail(getattr(self, tamper)()), match)
 
     def test_trailing_garbage_releases_the_lease(self):
-        from repro.netsim.frame import WireFormatError, decode_frame
-
-        arena = SlabArena()
-        bad = self._retail(self._encode()[:-4] + b"\x00")
-        with pytest.raises(WireFormatError):
-            decode_frame(bad, arena=arena)
-        assert arena.leases_issued == 1
-        assert arena.live_leases == 0
+        self._refused(self._retail(self._encode()[:-4] + b"\x00"),
+                      "trailing")
 
     def test_bad_frame_size_releases_the_lease(self):
         import struct
 
-        from repro.netsim.frame import WireFormatError, _FIXED, decode_frame
+        from repro.netsim.frame import _FIXED
 
-        arena = SlabArena()
         data = bytearray(self._encode())
-        # zero the semantic frame size -> Frame.__init__ rejects it after
-        # the payload was already stored
+        # zero the semantic frame size, which Frame.__init__ would reject
         struct.pack_into("!I", data, _FIXED.size - 12, 0)
-        bad = self._retail(bytes(data)[:-4])
-        with pytest.raises((WireFormatError, ValueError)):
-            decode_frame(bad, arena=arena)
+        self._refused(self._retail(bytes(data)[:-4]), "size")
+
+    def test_failure_after_the_allocation_releases_the_lease(self, monkeypatch):
+        from repro.netsim import frame as frame_mod
+
+        data = self._encode()
+        frame_mod.decode_frame(data)  # first use binds the tko classes
+
+        def boom(*args, **kwargs):
+            raise MemoryError("no room for a PDU")
+
+        monkeypatch.setattr(frame_mod, "_PDU", boom)
+        arena = SlabArena()
+        with pytest.raises(MemoryError):
+            frame_mod.decode_frame(data, arena=arena)
         assert arena.leases_issued == 1
         assert arena.live_leases == 0
 

@@ -47,6 +47,9 @@ def test_lossy_transfer_completes_with_intact_digests_and_balanced_pool():
     assert res["digest_ok"], "payload digests diverged across the lossy path"
     d_acq, d_rec = res["pool_delta"]
     assert d_acq == d_rec, f"pooled-PDU leak: {d_acq} acquired, {d_rec} recycled"
+    # duplicates, rejected retransmissions and delivered fragments all
+    # surrendered their receive-side slab claims
+    assert res["slab_leases_live"] == 0
     assert res["frames_sent"] > 20  # retransmissions genuinely happened
     # the trace recorded real hostility, not a clean path
     assert any(" drop" in line for line in res["trace"])
@@ -72,3 +75,4 @@ def test_harness_reports_a_clean_path_cleanly():
     assert res["connected"] and res["digest_ok"]
     assert res["delivered"] == 3
     assert res["pool_delta"][0] == res["pool_delta"][1]
+    assert res["slab_leases_live"] == 0

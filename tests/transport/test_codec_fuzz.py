@@ -1,11 +1,11 @@
 """Seeded wire-codec fuzz (ISSUE 8 satellite).
 
-The v2 codec carries a trailing CRC32 precisely so that a hostile path
+The wire codec carries a trailing CRC32 precisely so that a hostile path
 flipping bytes can never silently re-frame a datagram.  The contract
 under fuzz: for *any* mutation of a valid datagram, ``decode_frame``
 either raises :class:`WireFormatError` or returns a frame whose
-``(src, dst)`` match the original — a mis-decode into a different
-conversation must be impossible.
+``(src, dst)`` — and PDU ``conn_id`` — match the original: a mis-decode
+into a different conversation must be impossible.
 """
 
 from __future__ import annotations
@@ -93,6 +93,76 @@ def test_every_truncation_prefix_is_refused():
     for n in range(len(data)):
         with pytest.raises(WireFormatError):
             decode_frame(data[:n])
+
+
+def _frames():
+    """One frame per wire shape: plain DATA, DATA with both tails, a
+    payloadless ACK with a sack tail, a bare heartbeat envelope."""
+    both_tails = _frame(1)
+    both_tails.payload.sack = (5, 9)
+    plain = _frame(2)
+    plain.payload.options = {}
+    ack = PDU(PduType.ACK, 42, src_port=9, dst_port=7, ack=4, sack=(6, 8),
+              window=8)
+    beacon = Frame("alpha", "bravo", 64, created_at=1.0)
+    beacon.heartbeat = True
+    return [plain, both_tails,
+            Frame("bravo", "alpha", 44, payload=ack, created_at=2.5), beacon]
+
+
+def _conversation(frame: Frame):
+    pdu = frame.payload
+    return (frame.src, frame.dst, pdu.conn_id if pdu is not None else None)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_truncation_and_byte_flips_at_every_offset(index):
+    """Exhaustive, not sampled: cut the datagram at every length and
+    damage every single byte three ways, with and without an arena."""
+    from repro.tko.slab import SlabArena
+
+    original = _frames()[index]
+    data = encode_frame(original)
+    arena = SlabArena()
+    for use_arena in (None, arena):
+        for n in range(len(data)):
+            with pytest.raises(WireFormatError):
+                decode_frame(data[:n], arena=use_arena)
+        for pos in range(len(data)):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(data)
+                damaged[pos] ^= mask
+                try:
+                    decoded = decode_frame(bytes(damaged), arena=use_arena)
+                except WireFormatError:
+                    continue
+                # CRC32 catches every single-byte error, so this is
+                # unreachable — but acceptance must never re-frame
+                assert _conversation(decoded) == _conversation(original)
+    assert arena.leases_issued == 0  # damage is refused before allocation
+
+
+def test_truncated_then_resealed_datagrams_never_misdecode():
+    """The CRC is not the only guard: cut the body at every offset and
+    append a *valid* trailer, so only the length checks stand between a
+    short datagram and the parser."""
+    import struct
+    import zlib
+
+    from repro.tko.slab import SlabArena
+
+    arena = SlabArena()
+    for original in _frames():
+        body = encode_frame(original)[:-4]
+        for n in range(len(body)):
+            cut = body[:n]
+            resealed = cut + struct.pack("!I", zlib.crc32(cut))
+            try:
+                decoded = decode_frame(resealed, arena=arena)
+            except WireFormatError:
+                continue
+            pytest.fail(f"{n}-byte prefix decoded as {decoded!r}")
+    assert arena.live_leases == 0
 
 
 def test_single_byte_flip_reads_as_checksum_damage():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from repro.core.system import AdaptiveSystem
 from repro.mantts.acd import ACD
 from repro.netsim.frame import Frame
@@ -70,6 +72,10 @@ def test_two_systems_negotiate_transfer_and_balance_pool():
     assert d_recycled == d_acquired, (
         f"PDU pool leak: {d_acquired} acquired, {d_recycled} recycled"
     )
+    # ... and every receive-side slab claim died with its delivery
+    for fabric in (ta.network, tb.network):
+        assert fabric.arena.leases_issued > 0
+        assert fabric.arena.live_leases == 0
     ta.close()
     tb.close()
 
@@ -97,4 +103,27 @@ def test_wire_ref_released_on_encode_failure():
     fabric.send(Frame("A", "B", size=64, payload=pdu))
     pdu.release()
     assert fabric.send_errors == e0 + 1
+    assert PDU_POOL.recycled == r0 + 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seq", 2 ** 64),          # wider than its wire field
+    ("src_port", 70_000),
+    ("window", -1),
+    ("frag_count", 1.5),
+    ("timestamp", None),
+    ("checksum_placement", "middle"),
+])
+def test_wire_ref_released_when_a_field_does_not_fit_the_wire(field, value):
+    """Refused at encode and counted as a send error, never truncated."""
+    backend = LoopbackBackend()
+    fabric = backend.network
+    pdu = PDU_POOL.acquire(PduType.DATA, 1)
+    setattr(pdu, field, value)
+    pdu.retain()
+    r0, e0 = PDU_POOL.recycled, fabric.send_errors
+    fabric.send(Frame("A", "B", size=64, payload=pdu))
+    pdu.release()
+    assert fabric.send_errors == e0 + 1
+    assert fabric.frames_sent == 0
     assert PDU_POOL.recycled == r0 + 1
