@@ -7,9 +7,9 @@ plus the session observer walk with ``if self.observers:``.  This
 benchmark enforces the bound on the hottest path of all — the kernel
 dispatch loop — by timing the same E6-style bulk workload two ways:
 
-* **baseline** — ``Simulator.run`` monkeypatched to
-  ``Simulator._run_uninstrumented``, the inlined dispatch loop minus the
-  per-event telemetry test, kept for exactly this purpose;
+* **baseline** — ``Simulator.run`` monkeypatched to the function
+  :func:`_run_uninstrumented` derives from it: the shipping loop, inline
+  chain drain included, minus exactly its ``tele.enabled`` tests;
 * **disabled** — the shipping ``run`` with telemetry *and* audit off
   (the default).  The workload traverses every audit hook site
   (``create_session``, ``_accept``, send/deliver notify points), so the
@@ -18,13 +18,18 @@ dispatch loop — by timing the same E6-style bulk workload two ways:
 Runs are ABAB-interleaved and the minimum of N is compared (minimum, not
 mean: scheduling noise only ever adds time).  Enabled-telemetry and
 enabled-audit runs are also timed and reported, but not bounded — paying
-for what you turn on is the deal.
+for what you turn on is the deal.  Both loops must also finish the
+workload at the same ``events_dispatched`` and ``sim.now``, so a baseline
+that dispatches differently fails the gate instead of biasing the ratio.
 """
 
+import inspect
+import textwrap
 import time
 
 from repro.core.scenario import PointToPointScenario
 from repro.netsim.profiles import fddi_100
+from repro.sim import kernel
 from repro.sim.kernel import Simulator
 from repro.tko.config import SessionConfig
 from repro.unites.obs.audit import AUDIT, QoSContract
@@ -37,8 +42,31 @@ ROUNDS = 5
 MAX_DISABLED_OVERHEAD = 1.05
 
 
-def _workload(telemetry: bool, audit: bool = False) -> float:
-    """Wall seconds to run the E6 bulk transfer once; returns elapsed."""
+def _run_uninstrumented():
+    """``Simulator.run`` recompiled with its ``tele.enabled`` tests deleted.
+
+    Derived from the shipping source, so the baseline cannot drift from
+    the loop it is a baseline for; if ``run`` stops spelling its guards
+    this way, the assertions fail instead of the ratio going quiet.
+    """
+    src = textwrap.dedent(inspect.getsource(Simulator.run))
+    # ``if False:`` is folded away at compile time, leaving the else arm
+    for guard, without in (("if tele.enabled:", "if False:"),
+                           (" and not tele.enabled", "")):
+        assert src.count(guard) == 1, f"Simulator.run no longer has {guard!r}"
+        src = src.replace(guard, without)
+    scope = {}
+    exec(compile(src, "<Simulator.run minus telemetry>", "exec"), vars(kernel), scope)
+    run = scope["run"]
+    assert "enabled" not in run.__code__.co_names
+    return run
+
+
+def _workload(telemetry: bool, audit: bool = False):
+    """Run the E6 bulk transfer once.
+
+    Returns ``(wall seconds, events dispatched, final sim time)``.
+    """
     if audit:
         AUDIT.enable(window=0.25)
     scenario = PointToPointScenario(
@@ -66,14 +94,14 @@ def _workload(telemetry: bool, audit: bool = False) -> float:
     t0 = time.perf_counter()
     scenario.run(8.0)
     elapsed = time.perf_counter() - t0
-    events = scenario.system.sim.events_dispatched
+    sim = scenario.system.sim
     if telemetry:
         TELEMETRY.disable()
         TELEMETRY.reset()
     if audit:
         AUDIT.disable()
         AUDIT.reset()
-    return elapsed, events
+    return elapsed, sim.events_dispatched, sim.now
 
 
 def test_obs_overhead_disabled_is_free(benchmark, monkeypatch):
@@ -82,21 +110,26 @@ def test_obs_overhead_disabled_is_free(benchmark, monkeypatch):
     AUDIT.disable()
     AUDIT.reset()
 
+    uninstrumented = _run_uninstrumented()
+
     def measure():
         baseline, disabled = [], []
         events = 0
         for _ in range(ROUNDS):
             # A: true no-telemetry dispatch loop
-            monkeypatch.setattr(Simulator, "run", Simulator._run_uninstrumented)
-            t, events = _workload(telemetry=False)
+            monkeypatch.setattr(Simulator, "run", uninstrumented)
+            t, events, now = _workload(telemetry=False)
             baseline.append(t)
             monkeypatch.undo()
             # B: shipping loop, telemetry + audit disabled (the default)
             assert not TELEMETRY.enabled and not AUDIT.enabled
-            t, _ = _workload(telemetry=False)
+            t, shipped_events, shipped_now = _workload(telemetry=False)
             disabled.append(t)
-        enabled, _ = _workload(telemetry=True)
-        audited, _ = _workload(telemetry=True, audit=True)
+            assert (events, now) == (shipped_events, shipped_now), (
+                "the uninstrumented loop dispatched a different run"
+            )
+        enabled, _, _ = _workload(telemetry=True)
+        audited, _, _ = _workload(telemetry=True, audit=True)
         return min(baseline), min(disabled), enabled, audited, events
 
     base, disabled, enabled, audited, events = benchmark.pedantic(

@@ -1,24 +1,24 @@
 """Scale smoke: 1,000 concurrent connections stay fast and deterministic.
 
-The connection-scale refactor's acceptance bar (EXPERIMENTS.md row
-"scale", recorded in ``BENCH_scale.json``): one host pair must churn
-through a 1,000-strong mixed-TSC population under a loose wall-clock
-bound, every connection must establish, and the run must be bit-identical
-across repeats and across manager modes.  The sharper coalesced-vs-legacy
-wall ratio gate (<= 0.7) lives in ``record_bench.py --check``; here the
-bound is generous so CI hardware variance cannot flake the suite.
+The connection-scale acceptance bar (EXPERIMENTS.md row "scale"): one
+host pair must churn through a 1,000-strong mixed-TSC population under a
+loose wall-clock bound, every connection must establish, and a small run
+must be bit-identical across repeats and to the frozen golden values.
+The bound is generous so CI hardware variance cannot flake the suite;
+``bench/run.py --workload churn_mixed`` measures the wall time.
 """
 
 from time import perf_counter
 
 from repro.core.churn import identity_fields, run_churn
+from tests import golden
 
 WALL_BOUND_S = 60.0
 
 
 def test_1k_churn_under_wall_bound():
     w0 = perf_counter()
-    metrics = run_churn(1000, mode="coalesced", seed=7)
+    metrics = run_churn(1000, seed=7)
     wall = perf_counter() - w0
     assert wall < WALL_BOUND_S, f"1k churn took {wall:.1f}s"
     assert metrics["failed"] == 0
@@ -30,9 +30,7 @@ def test_1k_churn_under_wall_bound():
           f"peak {metrics['peak_concurrent']} concurrent")
 
 
-def test_repeat_and_mode_identity_n10():
-    a = run_churn(10, mode="coalesced", seed=7)
-    b = run_churn(10, mode="coalesced", seed=7)
-    legacy = run_churn(10, mode="legacy", seed=7)
-    assert identity_fields(a) == identity_fields(b)
-    assert identity_fields(a) == identity_fields(legacy)
+def test_repeat_and_golden_identity_n10():
+    a = run_churn(10, seed=7)
+    b = run_churn(10, seed=7)
+    assert identity_fields(a) == identity_fields(b) == golden.CHURN_10_SEED_7

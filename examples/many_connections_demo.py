@@ -3,8 +3,8 @@
 
 One ADAPTIVE host serves a mixed population of voice, video, bulk-transfer
 and telnet sessions against a single responder — the connection-scale
-workload behind ``BENCH_scale.json``, shrunk to a few hundred sessions so
-it runs in seconds.  While the churn runs, UNITES samples the initiator's
+workload behind the ``churn_mixed`` benchmark (``bench/run.py``), shrunk
+to a few hundred sessions so it runs in seconds.  While the churn runs, UNITES samples the initiator's
 ConnectionManager every half second, so the pending/open population and
 the admission ledger are visible as ordinary host-scope metrics.
 
@@ -19,7 +19,7 @@ HORIZON = 20.0
 
 
 def main() -> None:
-    scenario = ChurnScenario(n_connections=N, mode="coalesced", seed=11)
+    scenario = ChurnScenario(n_connections=N, seed=11)
     system = scenario.system
     manager = scenario.a.mantts.manager
     system.unites.watch_manager(manager, interval=0.5)
@@ -52,7 +52,7 @@ def main() -> None:
           f"failed {metrics['failed']}, reopened {metrics['reopened']}, "
           f"{metrics['delivered']} messages delivered")
     print(f"delivery digest {metrics['delivery_digest'][:16]}…  "
-          f"(same seed => same digest, in either manager mode)")
+          f"(same seed => same digest)")
     print(f"Stage II cache hits: {int(metrics['scs_cache_hits'])} — "
           f"identical (ACD, path, TSC) transforms served from the manager")
 

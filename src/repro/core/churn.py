@@ -12,9 +12,8 @@ deterministically reopens a third of the population once (churn).
 Everything is derived from the system seed and connection index, so one
 seed produces a bit-identical run: the receiver-side delivery digest,
 establishment/close counts, and peak concurrency are compared across
-repeated runs *and* across manager modes (``legacy`` vs ``coalesced``)
-— the coalesced ConnectionManager must not perturb the data path, only
-the wall-clock spent simulating it.
+repeated runs, across the three TKO executors, and against the frozen
+values in ``tests/golden.py``.
 """
 
 from __future__ import annotations
@@ -128,7 +127,6 @@ class ChurnScenario:
     def __init__(
         self,
         n_connections: int = 1000,
-        mode: str = "coalesced",
         seed: int = 7,
         wave_size: int = 50,
         wave_interval: float = 0.02,
@@ -139,7 +137,6 @@ class ChurnScenario:
         if n_connections <= 0:
             raise ValueError("n_connections must be positive")
         self.n_connections = n_connections
-        self.mode = mode
         self.reopen_every = reopen_every
 
         # ``transport`` selects the substrate (default: fresh SimBackend);
@@ -158,11 +155,9 @@ class ChurnScenario:
         # studies connection-management scaling, not admission pressure.
         self.a = self.system.node(
             "A", mips=400.0, buffer_capacity=1 << 26, admission_bps=10e9,
-            manager_mode=mode,
         )
         self.b = self.system.node(
             "B", mips=400.0, buffer_capacity=1 << 26, admission_bps=10e9,
-            manager_mode=mode,
         )
         for node in (self.a, self.b):
             node.mantts.resources.configure_classes(CLASS_SHARES)
@@ -263,7 +258,6 @@ class ChurnScenario:
         mgr = self.a.mantts.manager
         snap = mgr.snapshot()
         return {
-            "mode": self.mode,
             "n_connections": self.n_connections,
             "established": self.established,
             "failed": self.failed,
@@ -284,20 +278,19 @@ class ChurnScenario:
 
 def run_churn(
     n_connections: int = 1000,
-    mode: str = "coalesced",
     seed: int = 7,
     duration: float = 20.0,
     **kw,
 ) -> Dict[str, object]:
     """Build, run, and collect one churn scenario (the benchmark entry)."""
-    scenario = ChurnScenario(n_connections=n_connections, mode=mode, seed=seed, **kw)
+    scenario = ChurnScenario(n_connections=n_connections, seed=seed, **kw)
     return scenario.run(until=duration).collect()
 
 
 def identity_fields(metrics: Dict[str, object]) -> Dict[str, object]:
     """The subset of churn metrics that must be bit-identical for one seed
-    across repeated runs and across manager modes (cache/coalescing
-    counters legitimately differ between modes and are excluded)."""
+    across repeated runs and executors (event and cache/coalescing
+    counters are bookkeeping, not outcome, and are excluded)."""
     keys = (
         "n_connections", "established", "failed", "closed", "reopened",
         "delivered", "peak_concurrent", "delivery_digest", "final_time",
@@ -343,14 +336,19 @@ class GroupedChurnScenario:
         n_connections: int = 1000,
         n_groups: int = 4,
         cross_every: int = 4,
-        mode: str = "coalesced",
         seed: int = 7,
         wave_size: int = 50,
         wave_interval: float = 0.02,
         reopen_every: int = 3,
         shard_id: Optional[int] = None,
         n_shards: int = 1,
+        mode: str = "coalesced",
     ) -> None:
+        # ``mode`` selects nothing: the frozen bench harness
+        # (bench/workloads.py) still passes ``mode="coalesced"``, so the
+        # keyword is accepted with that one value until bench/ drops it.
+        if mode != "coalesced":
+            raise ValueError(f"unknown manager mode {mode!r}")
         if n_connections <= 0:
             raise ValueError("n_connections must be positive")
         if n_groups < 1:
@@ -362,7 +360,6 @@ class GroupedChurnScenario:
         self.n_connections = n_connections
         self.n_groups = n_groups
         self.cross_every = cross_every
-        self.mode = mode
         self.reopen_every = reopen_every
         self.shard_id = shard_id
         self.n_shards = n_shards
@@ -413,7 +410,7 @@ class GroupedChurnScenario:
             for name in (f"A{g}", f"B{g}", f"R{g}"):
                 node = self.system.node(
                     name, mips=400.0, buffer_capacity=1 << 26,
-                    admission_bps=10e9, manager_mode=mode,
+                    admission_bps=10e9,
                 )
                 node.mantts.resources.configure_classes(CLASS_SHARES)
                 node.protocol.synthesizer.templates = cache
@@ -550,7 +547,6 @@ class GroupedChurnScenario:
         (this shard's share) and merge via :func:`merge_sharded_metrics`."""
         digests = {i: h.hexdigest() for i, h in self._conn_digests.items()}
         return {
-            "mode": self.mode,
             "n_connections": self.n_connections,
             "n_groups": self.n_groups,
             "established": self.established,
@@ -597,15 +593,13 @@ def grouped_duration(n_connections: int, wave_size: int = 50,
 def run_grouped_churn(
     n_connections: int = 1000,
     n_groups: int = 4,
-    mode: str = "coalesced",
     seed: int = 7,
     duration: Optional[float] = None,
     **kw,
 ) -> Dict[str, object]:
     """Build, run, and collect one *serial* grouped-churn world."""
     scenario = GroupedChurnScenario(
-        n_connections=n_connections, n_groups=n_groups, mode=mode,
-        seed=seed, **kw,
+        n_connections=n_connections, n_groups=n_groups, seed=seed, **kw,
     )
     if duration is None:
         duration = grouped_duration(n_connections,
@@ -624,7 +618,6 @@ def run_sharded_churn(
     n_connections: int = 1000,
     n_shards: int = 2,
     n_groups: int = 4,
-    mode: str = "coalesced",
     seed: int = 7,
     duration: Optional[float] = None,
     recv_timeout: float = 300.0,
@@ -645,7 +638,7 @@ def run_sharded_churn(
     coordinator = ShardCoordinator(
         builder=build_churn_shard,
         builder_kw=dict(
-            n_connections=n_connections, n_groups=n_groups, mode=mode,
+            n_connections=n_connections, n_groups=n_groups,
             seed=seed, n_shards=n_shards, **kw,
         ),
         n_shards=n_shards,
@@ -670,7 +663,6 @@ def merge_sharded_metrics(
                 )
             digests[index] = digest
     merged: Dict[str, object] = {
-        "mode": shards[0]["mode"],
         "n_connections": shards[0]["n_connections"],
         "n_groups": shards[0]["n_groups"],
         "n_shards": len(shards),

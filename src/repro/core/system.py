@@ -75,16 +75,8 @@ class AdaptiveSystem:
         buffer_capacity: int = 1 << 20,
         admission_bps: float = 1e9,
         cores: int = 1,
-        manager_mode: str = "coalesced",
     ) -> AdaptiveNode:
-        """Assemble Host + TKO + MANTTS on network node ``name``.
-
-        ``manager_mode`` selects the per-host connection-management
-        strategy: ``"coalesced"`` (lazy monitors, shared probes, timer
-        groups — the scale path) or ``"legacy"`` (one free-running
-        monitor and private timers per connection — the historical
-        behaviour, kept as the equivalence baseline).
-        """
+        """Assemble Host + TKO + MANTTS on network node ``name``."""
         if self.network is None:
             raise RuntimeError("attach_network() before creating nodes")
         if name in self.nodes:
@@ -104,7 +96,6 @@ class AdaptiveSystem:
             host,
             protocol=protocol,
             resources=ResourceManager(host, admission_bps=admission_bps),
-            manager_mode=manager_mode,
         )
         mantts.unites = self.unites
         node = AdaptiveNode(host=host, protocol=protocol, mantts=mantts)

@@ -37,11 +37,6 @@ rides along with every MANTTS entity and owns:
   amortises the per-frame interrupt charge across frames arriving within
   a window.  Off by default because it changes simulated timings; the
   scale benchmark's bit-identity gate runs with it off.
-
-``mode="legacy"`` reproduces the pre-manager behaviour exactly (plain
-free-running :class:`~repro.mantts.monitor.NetworkMonitor` per
-connection, no caches, plain per-guard kernel events) and is kept as the
-benchmark baseline and equivalence oracle.
 """
 
 from __future__ import annotations
@@ -62,8 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ConnKey = Tuple[int, str, int]
 
-MODES = ("coalesced", "legacy")
-
 
 class GroupHandle:
     """Cancellable membership of one :class:`TimerGroup` bucket."""
@@ -80,24 +73,6 @@ class GroupHandle:
         if not self.cancelled:
             self.cancelled = True
             self.group._member_cancelled(self.when)
-
-
-class _PlainHandle:
-    """Legacy-mode stand-in: one private kernel event, same cancel API."""
-
-    __slots__ = ("sim", "_event")
-
-    def __init__(self, sim, event) -> None:
-        self.sim = sim
-        self._event = event
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self.sim.cancel(self._event)
-            self._event = None
-
-    def _fired(self) -> None:
-        self._event = None
 
 
 class TimerGroup:
@@ -289,12 +264,9 @@ class _SampleHooks(list):
 class ConnectionManager:
     """The per-host connection table, shared caches, and timer groups."""
 
-    def __init__(self, host: Host, mode: str = "coalesced") -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown manager mode {mode!r} (use one of {MODES})")
+    def __init__(self, host: Host) -> None:
         self.host = host
         self.sim = host.sim
-        self.mode = mode
         self.mantts: Optional["MANTTS"] = None
 
         #: every live connection handle, by ref
@@ -351,7 +323,7 @@ class ConnectionManager:
         (eager Stage-II snapshots, renegotiation probes) every call walks
         fresh — there is no cross-event staleness to reason about.
         """
-        if self.mode == "legacy" or not self.sampler_group.in_fire:
+        if not self.sampler_group.in_fire:
             return probe_path(network, src, dst)
         key = (src, dst)
         cached = self._probe_cache.get(key)
@@ -371,17 +343,8 @@ class ConnectionManager:
         dst: str,
         interval: float,
         conn: Optional["AdaptiveConnection"] = None,
-    ) -> NetworkMonitor:
-        """A path monitor from this host to ``dst``.
-
-        Coalesced mode hands out lazy, probe-sharing
-        :class:`ManagedMonitor` instances; legacy mode the historical
-        free-running :class:`NetworkMonitor`.
-        """
-        if self.mode == "legacy":
-            return NetworkMonitor(
-                self.sim, self.host.network, self.host.name, dst, interval=interval
-            )
+    ) -> ManagedMonitor:
+        """A lazy, probe-sharing path monitor from this host to ``dst``."""
         return ManagedMonitor(
             self, self.sim, self.host.network, self.host.name, dst,
             interval=interval, conn=conn,
@@ -405,8 +368,6 @@ class ConnectionManager:
         """
         from repro.mantts.transform import specify_scs
 
-        if self.mode == "legacy":
-            return specify_scs(acd, state, tsc=tsc, binding=binding)
         try:
             key = (acd, state, tsc, binding)
             cached = self._scs_cache.get(key)
@@ -423,17 +384,8 @@ class ConnectionManager:
     # ------------------------------------------------------------------
     # coalesced one-shot timers (reservation guards etc.)
     # ------------------------------------------------------------------
-    def defer(self, delay: float, fn: Callable[[], None]):
+    def defer(self, delay: float, fn: Callable[[], None]) -> GroupHandle:
         """Run ``fn`` after ``delay``; equal deadlines share one event."""
-        if self.mode == "legacy":
-            handle = _PlainHandle(self.sim, None)
-
-            def run() -> None:
-                handle._fired()
-                fn()
-
-            handle._event = self.sim.schedule_timer(delay, run)
-            return handle
         return self.sampler_group.at(self.sim.now + delay, fn)
 
     # ------------------------------------------------------------------
@@ -639,6 +591,6 @@ class ConnectionManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ConnectionManager {self.host.name} mode={self.mode} "
+            f"<ConnectionManager {self.host.name} "
             f"pending={len(self.pending_refs)} open={len(self.open_refs)}>"
         )

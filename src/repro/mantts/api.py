@@ -64,7 +64,6 @@ class MANTTS:
         resources: Optional[ResourceManager] = None,
         monitor_interval: float = 0.1,
         manager: Optional[ConnectionManager] = None,
-        manager_mode: str = "coalesced",
     ) -> None:
         self.host = host
         self.protocol = protocol if protocol is not None else TKOProtocol(
@@ -92,9 +91,7 @@ class MANTTS:
         self.negotiation_jitter = 0.25
         #: the per-host connection-scale layer: connection table, shared
         #: probe/SCS caches, coalesced timer groups, population gauges
-        self.manager = manager if manager is not None else ConnectionManager(
-            host, mode=manager_mode
-        )
+        self.manager = manager if manager is not None else ConnectionManager(host)
         self.manager.bind(self)
         #: optional UNITES facade; when set, TMC requests are honoured
         self.unites = None

@@ -93,18 +93,13 @@ class Link:
         self._queues: list[deque[Frame]] = [deque() for _ in range(N_PRIORITIES)]
         self._transmitting = False
         self._rng = rng.stream(f"link:{name}")
-        # Batched delivery (fast kernel only): serialization completions
-        # and propagation arrivals are two monotone event streams, so each
-        # gets an EventChain — back-to-back frames then cost one deque
-        # append instead of one heap event, and the kernel's batch-drain
-        # hook can fire a whole burst off a single heap pop.  The legacy
-        # kernel keeps the per-frame transient events verbatim.
-        if getattr(sim, "_legacy", False):
-            self._tx_chain = None
-            self._rx_chain = None
-        else:
-            self._tx_chain = sim.make_chain()
-            self._rx_chain = sim.make_chain()
+        # Batched delivery: serialization completions and propagation
+        # arrivals are two monotone event streams, so each gets an
+        # EventChain — back-to-back frames then cost one deque append
+        # instead of one heap event, and the kernel's batch-drain hook
+        # can fire a whole burst off a single heap pop.
+        self._tx_chain = sim.make_chain()
+        self._rx_chain = sim.make_chain()
 
     # ------------------------------------------------------------------
     @property
@@ -196,11 +191,7 @@ class Link:
         self._transmitting = True
         ser = self.serialization_time(frame.size)
         self.stats.busy_time += ser
-        chain = self._tx_chain
-        if chain is not None:
-            chain.schedule(ser, self._tx_done, frame)
-        else:
-            self.sim.schedule_transient(ser, self._tx_done, frame)
+        self._tx_chain.schedule(ser, self._tx_done, frame)
 
     def _tx_done(self, frame: Frame) -> None:
         # Channel errors are imposed while the frame is on the wire.
@@ -231,11 +222,7 @@ class Link:
         queueing, serialization, BER draws, and drop accounting on the
         near side stay byte-identical to a serial run.
         """
-        chain = self._rx_chain
-        if chain is not None:
-            chain.schedule(self.delay, self._arrive, frame)
-        else:
-            self.sim.schedule_transient(self.delay, self._arrive, frame)
+        self._rx_chain.schedule(self.delay, self._arrive, frame)
 
     def _arrive(self, frame: Frame) -> None:
         self.stats.delivered += 1

@@ -12,17 +12,15 @@ live in two structures ordered by ``(time, priority, seq)``:
   touching the heap*: no ``heappush``, no lazy-deletion pop later.  Only
   timers that survive long enough to become imminent are flushed into
   the heap, which restores the exact ``(time, priority, seq)`` total
-  order — every seeded experiment reproduces bit-identically with the
-  wheel on or off (``legacy=True`` disables the whole fast path and is
-  the baseline that ``benchmarks/record_bench.py`` measures against).
+  order, so wheel routing never changes which event fires next.
 
 The ``seq`` field guarantees a deterministic total order for simultaneous
 events, which is what makes every experiment in :mod:`benchmarks` exactly
 repeatable — the property the paper's UNITES subsystem calls *controlled,
 empirical experimentation* (§4.3).
 
-Heap-resident events still cancel lazily (marked, skipped when popped),
-but the queue now **compacts** the heap in place when cancelled entries
+Heap-resident events cancel lazily (marked, skipped when popped),
+but the queue **compacts** the heap in place when cancelled entries
 come to dominate it, so pathological churn cannot grow the heap without
 bound.  A free-list recycles the ``Event`` records of the pooled
 scheduling APIs (``schedule_timer`` / ``schedule_transient``) so the
@@ -89,7 +87,7 @@ class Event:
         self.pooled = False
         self.wheeled = False
         #: kernel-internal: set on an EventChain's sentinel record so the
-        #: dispatch loops re-arm (or batch-drain) the chain after firing
+        #: run loop re-arms (or batch-drains) the chain after firing
         self.chain = None
 
     def cancel(self) -> None:
@@ -291,9 +289,9 @@ class EventQueue:
 
     __slots__ = ("_heap", "_live", "_heap_cancelled", "popped_live",
                  "skipped_cancelled", "compactions", "compacted_events",
-                 "wheel", "_free", "_compact_enabled")
+                 "wheel", "_free")
 
-    def __init__(self, compact: bool = True) -> None:
+    def __init__(self) -> None:
         self._heap: list[Event] = []
         self._live = 0
         self._heap_cancelled = 0
@@ -303,7 +301,6 @@ class EventQueue:
         self.compacted_events = 0
         self.wheel = HierarchicalTimerWheel()
         self._free: list[Event] = []
-        self._compact_enabled = compact
 
     # ------------------------------------------------------------------
     # intake
@@ -371,8 +368,7 @@ class EventQueue:
         else:
             self._heap_cancelled += 1
             if (
-                self._compact_enabled
-                and self._heap_cancelled >= COMPACT_MIN_CANCELLED
+                self._heap_cancelled >= COMPACT_MIN_CANCELLED
                 and self._heap_cancelled * 2 >= len(self._heap)
             ):
                 self._compact()
@@ -630,12 +626,6 @@ class Simulator:
     hosts, protocol sessions and workloads all hold a reference to one
     ``Simulator`` and schedule their behaviour through it.
 
-    ``legacy=True`` reverts to the pre-fast-path kernel — heap-only (no
-    timer wheel), no Event pooling, no heap compaction, ``step()``-driven
-    dispatch — and exists so ``benchmarks/record_bench.py`` can measure
-    the fast path against the exact baseline, and so equivalence tests can
-    assert that both kernels produce bit-identical event orderings.
-
     Examples
     --------
     >>> sim = Simulator()
@@ -649,9 +639,8 @@ class Simulator:
     1.5
     """
 
-    def __init__(self, legacy: bool = False) -> None:
-        self._legacy = legacy
-        self._queue = EventQueue(compact=not legacy)
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -736,10 +725,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
         q = self._queue
-        if self._legacy:
-            ev = Event(self._now + delay, priority, self._seq, fn, args)
-            q.push(ev)
-            return ev
         ev = q.alloc(self._now + delay, priority, self._seq, fn, args, pooled=True)
         q.push_timer(ev)
         return ev
@@ -778,10 +763,7 @@ class Simulator:
             )
         self._seq += 1
         q = self._queue
-        if self._legacy:
-            ev = Event(time, priority, self._seq, fn, args)
-        else:
-            ev = q.alloc(time, priority, self._seq, fn, args, pooled=True)
+        ev = q.alloc(time, priority, self._seq, fn, args, pooled=True)
         q.push(ev)
         return ev
 
@@ -789,9 +771,7 @@ class Simulator:
         """Create an :class:`EventChain` — the batch-drain scheduling hook.
 
         For single-source monotone event streams (link serialization /
-        propagation).  Chains work on the legacy kernel too (the sentinel
-        is an ordinary heap event; ``step()`` re-arms it), but only the
-        fast inlined :meth:`run` loop performs multi-occurrence drains.
+        propagation).
         """
         return EventChain(self)
 
@@ -811,47 +791,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Dispatch the single earliest event.  Returns False when idle.
-
-        When the global telemetry handle is disabled (the default) the only
-        instrumentation cost is the single ``enabled`` test below — the
-        bound that ``benchmarks/test_obs_overhead.py`` enforces against the
-        uninstrumented dispatch loop kept in :meth:`_run_uninstrumented`.
-        """
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        self._now = ev.time
-        self.events_dispatched += 1
-        if _TELEMETRY.enabled:
-            self._dispatch_instrumented(ev)
-        else:
-            ev.fn(*ev.args)
-        if ev.chain is not None:
-            ev.chain._rearm()
-        self._queue._retire(ev)
-        return True
-
-    def _step_uninstrumented(self) -> bool:
-        """The pre-telemetry single-step dispatch, byte-for-byte.
-
-        Never called by the simulator itself; kept as the no-telemetry
-        reference for the disabled-overhead bound (see
-        :meth:`_run_uninstrumented` for the loop-level counterpart that
-        ``benchmarks/test_obs_overhead.py`` swaps in).
-        """
-        ev = self._queue.pop()
-        if ev is None:
-            return False
-        self._now = ev.time
-        self.events_dispatched += 1
-        ev.fn(*ev.args)
-        if ev.chain is not None:
-            ev.chain._rearm()
-        self._queue._retire(ev)
-        return True
-
     def _dispatch_instrumented(self, ev: Event) -> None:
         """Telemetry-enabled dispatch: per-handler wall profiling + spans."""
         fn = ev.fn
@@ -889,16 +828,15 @@ class Simulator:
         even if the last event fires earlier, so back-to-back ``run`` calls
         compose naturally in phased experiments.
 
-        The dispatch loop is inlined: no per-event :meth:`step` call, the
-        queue internals are hoisted into locals, and dispatch counters are
-        batched (flushed exactly on loop exit and whenever the slower
-        telemetry path runs).  Ordering is identical to repeated
-        :meth:`step` calls.
+        The dispatch loop is inlined: the queue internals are hoisted
+        into locals and dispatch counters are batched (flushed exactly on
+        loop exit and whenever the slower telemetry path runs).  Events
+        fire in ``(time, priority, seq)`` order.  With telemetry disabled
+        (the default) the only instrumentation cost is one ``enabled``
+        test per event, which ``benchmarks/test_obs_overhead.py`` bounds.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
-        if self._legacy:
-            return self._run_legacy(until, max_events)
         self._running = True
         self._stopped = False
         q = self._queue
@@ -988,84 +926,6 @@ class Simulator:
             if fast:
                 self.events_dispatched += fast
                 q.popped_live += fast
-            self._running = False
-
-    def _run_uninstrumented(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> None:
-        """The inlined run loop minus the per-event telemetry test.
-
-        Never called by the simulator itself; ``benchmarks/
-        test_obs_overhead.py`` swaps it in for :meth:`run` to obtain a true
-        no-telemetry baseline when asserting the disabled-overhead bound.
-        """
-        if self._running:
-            raise SimulationError("simulator is not re-entrant")
-        self._running = True
-        self._stopped = False
-        q = self._queue
-        front = q._front
-        heap = q._heap
-        free = q._free
-        wheel = q.wheel
-        budget = -1 if max_events is None else max_events
-        n = 0
-        try:
-            while not self._stopped and n != budget:
-                ev = heap[0] if heap else None
-                if ev is None or ev.cancelled or (
-                        wheel.live
-                        and ev.time >= wheel.flushed_until
-                        and ev.time >= wheel.min_start):
-                    ev = front()
-                    if ev is None:
-                        break
-                t = ev.time
-                if until is not None and t > until:
-                    break
-                _heappop(heap)
-                q._live -= 1
-                self._now = t
-                ev.fn(*ev.args)
-                n += 1
-                if ev.pooled:
-                    ev.fn = None
-                    ev.args = ()
-                    if len(free) < FREELIST_MAX:
-                        free.append(ev)
-                elif ev.chain is not None:
-                    ev.chain._rearm()
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-        finally:
-            self.events_dispatched += n
-            q.popped_live += n
-            self._running = False
-
-    def _run_legacy(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> None:
-        """The pre-fast-path run loop (peek + per-event ``step()``).
-
-        The measured baseline for ``benchmarks/record_bench.py``; together
-        with ``legacy=True`` construction this reproduces the heap-only
-        kernel byte-for-byte.
-        """
-        self._running = True
-        self._stopped = False
-        dispatched = 0
-        try:
-            while self._queue and not self._stopped:
-                if max_events is not None and dispatched >= max_events:
-                    break
-                next_t = self._queue.peek_time()
-                if until is not None and next_t is not None and next_t > until:
-                    break
-                self.step()
-                dispatched += 1
-            if until is not None and not self._stopped and self._now < until:
-                self._now = until
-        finally:
             self._running = False
 
     def run_until_horizon(

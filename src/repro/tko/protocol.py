@@ -149,13 +149,21 @@ class TKOProtocol:
         if isinstance(owner, Listener):
             self._accept(owner, pdu, frame)
             return
+        self._unclaimed(pdu, frame)
+
+    def _unclaimed(self, pdu: PDU, frame: Frame) -> None:
+        """Count and retire a PDU no session or listener will take."""
         self.frames_unclaimed += 1
+        # a simulated multicast PDU is unpooled and shares its message
+        # with the copies other members still hold: not ours to release
+        if frame.multicast_dsts is None:
+            pdu.discard()
 
     def _accept(self, listener: Listener, pdu: PDU, frame: Frame) -> None:
         """Passive session creation on SYN, implicitly-configured DATA, or
         a network-monitor PROBE (which must be answerable cold)."""
         if pdu.ptype not in (PduType.SYN, PduType.DATA, PduType.PROBE):
-            self.frames_unclaimed += 1
+            self._unclaimed(pdu, frame)
             return
         cfg = listener.cfg_factory(pdu, frame)
         conn_id = next(self._conn_ids)

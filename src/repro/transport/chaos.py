@@ -21,8 +21,7 @@ Two modes share the code path:
   real sleeps: the bench mode, measuring genuine lossy-path recovery
   time.
 
-Used by ``tests/transport/test_chaos_acceptance.py``,
-``benchmarks/record_bench.py --only transport``, and
+Used by ``tests/transport/test_chaos_acceptance.py`` and
 ``examples/lossy_transfer_demo.py``.
 """
 

@@ -8,7 +8,7 @@ connection table, and the UNITES gauge snapshot.
 import pytest
 
 from repro.core.system import AdaptiveSystem
-from repro.host.connmgr import ConnectionManager, ManagedMonitor, TimerGroup
+from repro.host.connmgr import ManagedMonitor, TimerGroup
 from repro.mantts.acd import ACD
 from repro.mantts.qos import QuantitativeQoS
 from repro.mantts.tsc import APP_PROFILES
@@ -18,12 +18,12 @@ from repro.sim.kernel import Simulator
 SERVICE_PORT = 7000
 
 
-def build(mode="coalesced", seed=3):
+def build(seed=3):
     sysm = AdaptiveSystem(seed=seed)
     sysm.attach_network(linear_path(sysm.sim, ethernet_10(), ("A", "B"),
                                     rng=sysm.rng))
-    a = sysm.node("A", manager_mode=mode)
-    b = sysm.node("B", manager_mode=mode)
+    a = sysm.node("A")
+    b = sysm.node("B")
     b.mantts.register_service(SERVICE_PORT, on_deliver=lambda d, m: None)
     return sysm, a, b
 
@@ -132,13 +132,6 @@ class TestManagedMonitorLaziness:
         assert conn.monitor.wants_samples
         assert conn.monitor.samples > 0
 
-    def test_legacy_mode_monitor_free_runs(self):
-        sysm, a, b = build(mode="legacy")
-        conn = a.mantts.open(voice_acd())
-        sysm.run(until=2.0)
-        assert not isinstance(conn.monitor, ManagedMonitor)
-        assert conn.monitor.samples > 0
-
     def test_stop_disarms(self):
         sysm, a, b = build()
         conn = a.mantts.open(voice_acd())
@@ -190,16 +183,6 @@ class TestScsCache:
         s1.note("private rationale")
         assert "private rationale" not in s2.rationale
 
-    def test_legacy_mode_never_caches(self):
-        sysm, a, b = build(mode="legacy")
-        manager = a.mantts.manager
-        state = manager.monitor_for("B", interval=0.1).snapshot()
-        from repro.mantts.tsc import TSC
-
-        manager.scs_for(video_acd(), state, TSC.DISTRIBUTIONAL_ISOCHRONOUS,
-                        "dynamic")
-        assert manager.scs_hits == manager.scs_misses == 0
-
 
 class TestConnectionTable:
     def test_lifecycle_counts_and_key_index(self):
@@ -241,11 +224,6 @@ class TestConnectionTable:
         sysm.run(until=1.0)
         assert ran == [1, 2]
         assert manager.sampler_group.fires == 1
-
-    def test_unknown_mode_rejected(self):
-        sysm, a, b = build()
-        with pytest.raises(ValueError):
-            ConnectionManager(a.host, mode="turbo")
 
 
 class TestTelemetryGauges:

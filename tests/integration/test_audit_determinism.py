@@ -1,22 +1,18 @@
 """Property test: the audit plane is a pure observer.  Conformance
-verdicts and violation traces must be bit-identical across the compiled
-and reference executors, and across coalesced/legacy manager modes — and
+verdicts and violation traces must be bit-identical across the three
+executors and equal to the frozen values in ``tests/golden.py`` — and
 enabling the auditor must not change the simulated world at all."""
 
-import dataclasses
 import json
 
 import pytest
 
-from repro.core.system import AdaptiveSystem
-from repro.mantts.acd import ACD
-from repro.mantts.qos import QualitativeQoS, QuantitativeQoS
 from repro.netsim.faults import FaultInjector, FaultSchedule
-from repro.netsim.profiles import ethernet_10, linear_path
 from repro.tko.config import SessionConfig
-from repro.tko.executor import use_executor
+from repro.tko.executor import DEFAULT_KIND, EXECUTOR_KINDS, use_executor
 from repro.unites.obs.audit import AUDIT, QoSContract
 from repro.unites.obs.telemetry import TELEMETRY
+from tests import golden
 from tests.conftest import TwoHosts
 
 #: the undirected links of the TwoHosts linear path A-s1-s2-B
@@ -82,16 +78,17 @@ def run_chaos_world(kind: str, seed: int):
         )
         return audit_trace(auditor), world_digest
     finally:
-        use_executor("compiled")
+        use_executor(DEFAULT_KIND)
         AUDIT.disable()
         AUDIT.reset()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_verdicts_bit_identical_across_executors(seed):
-    ref = run_chaos_world("reference", seed)
-    com = run_chaos_world("compiled", seed)
-    assert ref == com
+    runs = {kind: run_chaos_world(kind, seed) for kind in EXECUTOR_KINDS}
+    assert runs["reference"] == runs["compiled"] == runs["generated"]
+    trace, world = runs["reference"]
+    assert (golden.verdict_digest(trace), world) == golden.AUDIT_CHAOS_WORLD[seed]
 
 
 def test_auditor_does_not_perturb_the_world():
@@ -133,48 +130,5 @@ def test_auditor_does_not_perturb_the_world():
         AUDIT.reset()
         return digest
 
-    assert world_digest(audited=False) == world_digest(audited=True)
-
-
-def run_manager_world(mode: str, seed: int):
-    AUDIT.reset()
-    AUDIT.enable(window=0.2, warmup_windows=1)
-    try:
-        sysm = AdaptiveSystem(seed=seed)
-        sysm.attach_network(
-            linear_path(sysm.sim, ethernet_10(), ("A", "B"), rng=sysm.rng)
-        )
-        a = sysm.node("A", manager_mode=mode)
-        b = sysm.node("B", manager_mode=mode)
-        got = []
-        b.mantts.register_service(7000, on_deliver=lambda d, m: got.append(d))
-        acd = ACD(
-            participants=("B",),
-            quantitative=QuantitativeQoS(
-                avg_throughput_bps=150e3, duration=600, max_latency=0.8
-            ),
-            qualitative=QualitativeQoS(),
-        )
-        conn = a.mantts.open(acd, adaptation=True)
-        sysm.run(until=0.5)
-        for i in range(25):
-            conn.send(b"x%02d" % i + b"z" * 600)
-        schedule = FaultSchedule.random(seed, LINKS, horizon=3.0, n_faults=4)
-        shifted = FaultSchedule(
-            dataclasses.replace(f, at=f.at + sysm.now) for f in schedule.faults
-        )
-        FaultInjector(sysm.sim, sysm.network, shifted).arm()
-        sysm.run(until=8.0)
-        AUDIT.finalize()
-        auditor = AUDIT.auditors[conn.ref]
-        return audit_trace(auditor), len(got), sysm.now
-    finally:
-        AUDIT.disable()
-        AUDIT.reset()
-
-
-@pytest.mark.parametrize("seed", [2, 5])
-def test_verdicts_bit_identical_across_manager_modes(seed):
-    coalesced = run_manager_world("coalesced", seed)
-    legacy = run_manager_world("legacy", seed)
-    assert coalesced == legacy
+    assert (world_digest(audited=False) == world_digest(audited=True)
+            == golden.AUDIT_OBSERVER_WORLD)

@@ -18,6 +18,7 @@ from repro.core.churn import (
     run_sharded_churn,
 )
 from repro.shard.coordinator import ShardCoordinator, ShardSyncError
+from tests import golden
 
 N = 48          # small but real: all four classes, crosses in every group
 GROUPS = 4
@@ -38,7 +39,13 @@ class TestSerialGroupedScenario:
 
     def test_serial_rerun_is_bit_identical(self, serial):
         again = run_grouped_churn(n_connections=N, n_groups=GROUPS, seed=SEED)
-        assert grouped_identity_fields(again) == grouped_identity_fields(serial)
+        assert (grouped_identity_fields(again) == grouped_identity_fields(serial)
+                == golden.GROUPED_48_SEED_11)
+
+    def test_unknown_manager_mode_rejected(self):
+        # the one accepted value survives only for the frozen bench harness
+        with pytest.raises(ValueError):
+            GroupedChurnScenario(n_connections=N, n_groups=GROUPS, mode="legacy")
 
     def test_cross_connections_exist_in_every_group(self):
         s = GroupedChurnScenario(n_connections=N, n_groups=GROUPS, seed=SEED)

@@ -8,6 +8,8 @@ bit-identical to scheduling every occurrence as its own transient event,
 and out-of-order appends transparently fall back to the plain API.
 """
 
+import pytest
+
 from repro.sim.kernel import Simulator
 
 
@@ -104,18 +106,6 @@ class TestChainMechanics:
         assert fired == [1, 2]
         assert chain.appended == 2
 
-    def test_legacy_kernel_fires_chain_without_inline_drain(self):
-        # chains work on the legacy kernel (the sentinel is an ordinary
-        # heap event), but only the fast run loop batch-drains
-        legacy = Simulator(legacy=True)
-        chain = legacy.make_chain()
-        fired = []
-        for i in range(5):
-            chain.schedule_at(0.01, fired.append, i)
-        legacy.run()
-        assert fired == list(range(5))
-        assert chain.drained_inline == 0
-
 
 class TestLinkUsesChains:
     def test_fast_kernel_link_batches_and_legacy_does_not(self):
@@ -123,22 +113,17 @@ class TestLinkUsesChains:
         from repro.netsim.link import Link
         from repro.sim.rng import RngStreams
 
-        def run(legacy):
-            sim = Simulator(legacy=legacy)
-            got = []
-            link = Link(sim, RngStreams(0), "t", bandwidth_bps=8e6,
-                        delay=0.001, queue_limit=16, deliver=got.append)
-            for _ in range(6):
-                link.send(Frame("A", "B", 500))
-            sim.run()
-            return sim, link, [f.id for f in got]
-
-        fast_sim, fast_link, fast_ids = run(False)
-        legacy_sim, legacy_link, legacy_ids = run(True)
-        assert fast_link._tx_chain is not None
-        assert legacy_link._tx_chain is None
-        assert fast_link._tx_chain.appended == 6
-        assert fast_link._rx_chain.appended == 6
-        # batching is invisible to everything the simulation observes
-        assert len(fast_ids) == len(legacy_ids) == 6
-        assert fast_sim.now == legacy_sim.now
+        sim = Simulator()
+        got = []
+        link = Link(sim, RngStreams(0), "t", bandwidth_bps=8e6,
+                    delay=0.001, queue_limit=16, deliver=got.append)
+        frames = [Frame("A", "B", 500) for _ in range(6)]
+        for frame in frames:
+            link.send(frame)
+        sim.run()
+        assert link._tx_chain.appended == 6
+        assert link._rx_chain.appended == 6
+        # batching is invisible to everything the simulation observes:
+        # FIFO delivery, last arrival = six serializations + one delay
+        assert [f.id for f in got] == [f.id for f in frames]
+        assert sim.now == pytest.approx(6 * 500 * 8 / 8e6 + 0.001)

@@ -4,6 +4,7 @@
 from repro.netsim.frame import Frame
 from repro.tko.config import SessionConfig
 from repro.tko.message import CopyMeter, TKOMessage
+from repro.tko.pdu import PDU_POOL
 from repro.tko.protocol import PassthroughLayer
 from tests.conftest import TwoHosts
 
@@ -17,11 +18,18 @@ class TestDemux:
 
     def test_pdu_to_unknown_port_unclaimed(self):
         w = TwoHosts()
+        acquired0, recycled0 = PDU_POOL.acquired, PDU_POOL.recycled
         s = w.pa.create_session(SessionConfig(connection="implicit"), "B", 4242)
         s.connect()
         s.send(b"x")
         w.sim.run(until=1.0)
         assert w.pb.frames_unclaimed >= 1
+        # B dropped the wire's reference on every unclaimed copy, so once
+        # the sender gives up its own the shell returns to the pool
+        s.abort("peer never answered")
+        acquired = PDU_POOL.acquired - acquired0
+        assert acquired >= 1
+        assert PDU_POOL.recycled - recycled0 == acquired
 
     def test_sessions_tracked_and_released(self):
         w = TwoHosts()

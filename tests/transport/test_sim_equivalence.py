@@ -15,11 +15,9 @@ from repro.transport import SimBackend
 
 
 def test_churn_digest_identical_through_backend_interface():
-    baseline = identity_fields(run_churn(25, mode="coalesced", seed=7))
+    baseline = identity_fields(run_churn(25, seed=7))
     backend = SimBackend(route_frames=True)
-    routed = identity_fields(
-        run_churn(25, mode="coalesced", seed=7, transport=backend)
-    )
+    routed = identity_fields(run_churn(25, seed=7, transport=backend))
     assert routed == baseline
     # and the interface demonstrably carried the traffic
     assert backend.frames_routed > 0

@@ -301,15 +301,6 @@ class TestKernelInstrumentation:
         assert q.lazy_deletion_ratio == pytest.approx(0.75)
         assert keep.cancelled is False
 
-    def test_uninstrumented_step_matches(self):
-        fired = []
-        sim = Simulator()
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(0.5, fired.append, "b")
-        while sim._step_uninstrumented():
-            pass
-        assert fired == ["b", "a"] and sim.now == 1.0
-
     def test_disabled_records_nothing(self):
         sim = Simulator()
         sim.schedule(0.5, lambda: None)
