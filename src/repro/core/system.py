@@ -10,7 +10,6 @@ from repro.host.nic import Host
 from repro.mantts.api import MANTTS
 from repro.mantts.resources import ResourceManager
 from repro.netsim.network import Network
-from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.tko.protocol import TKOProtocol
 from repro.tko.synthesizer import TKOSynthesizer

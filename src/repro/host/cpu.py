@@ -88,8 +88,9 @@ class Cpu:
             core = 0  # the overwhelmingly common shape: skip the core scan
         else:
             core = min(range(self.cores), key=self._busy_until.__getitem__)
-        start = max(now, self._busy_until[core])
-        duration = self.seconds_for(instructions)
+        busy = self._busy_until[core]
+        start = busy if busy > now else now
+        duration = instructions / (self.mips * 1e6)  # seconds_for()
         finish = start + duration
         self._busy_until[core] = finish
         self.busy_time += duration
@@ -113,8 +114,9 @@ class Cpu:
             core = 0
         else:
             core = min(range(self.cores), key=self._busy_until.__getitem__)
-        start = max(now, self._busy_until[core])
-        duration = self.seconds_for(instructions)
+        busy = self._busy_until[core]
+        start = busy if busy > now else now
+        duration = instructions / (self.mips * 1e6)  # seconds_for()
         finish = start + duration
         self._busy_until[core] = finish
         self.busy_time += duration

@@ -91,6 +91,9 @@ class Link:
         self.up = True
         self.stats = LinkStats()
         self._queues: list[deque[Frame]] = [deque() for _ in range(N_PRIORITIES)]
+        #: frames waiting across ``_queues``, not counting the one on the
+        #: wire — a maintained count, because every ``send`` reads it
+        self.queue_len = 0
         self._transmitting = False
         self._rng = rng.stream(f"link:{name}")
         # Batched delivery: serialization completions and propagation
@@ -102,11 +105,6 @@ class Link:
         self._rx_chain = sim.make_chain()
 
     # ------------------------------------------------------------------
-    @property
-    def queue_len(self) -> int:
-        """Frames currently waiting (not counting the one on the wire)."""
-        return sum(len(q) for q in self._queues)
-
     def serialization_time(self, size_bytes: int) -> float:
         """Time to clock ``size_bytes`` onto the channel."""
         return size_bytes * 8.0 / self.bandwidth_bps
@@ -142,6 +140,7 @@ class Link:
             return False
         prio = min(max(frame.priority, 0), N_PRIORITIES - 1)
         self._queues[prio].append(frame)
+        self.queue_len += 1
         self.stats.enqueued += 1
         if _TELEMETRY.enabled:
             _TELEMETRY.metrics.counter(
@@ -188,8 +187,9 @@ class Link:
         if frame is None:
             self._transmitting = False
             return
+        self.queue_len -= 1
         self._transmitting = True
-        ser = self.serialization_time(frame.size)
+        ser = frame.size * 8.0 / self.bandwidth_bps  # serialization_time()
         self.stats.busy_time += ser
         self._tx_chain.schedule(ser, self._tx_done, frame)
 
@@ -277,6 +277,7 @@ class Link:
         for q in reversed(self._queues):
             while self.queue_len > self.queue_limit and q:
                 frame = q.pop()
+                self.queue_len -= 1
                 self.stats.dropped_overflow += 1
                 self._count_drop("overflow", frame.size)
                 self._drop_payload(frame)
@@ -306,6 +307,7 @@ class Link:
             for frame in q:
                 self._drop_payload(frame)
             q.clear()
+        self.queue_len = 0
 
     def restore(self) -> None:
         """Bring the link back up."""

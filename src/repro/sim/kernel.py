@@ -1,7 +1,13 @@
 """Core discrete-event simulation kernel.
 
-The kernel is allocation-light and cancellation-tolerant.  Pending events
-live in two structures ordered by ``(time, priority, seq)``:
+The kernel is allocation-light and cancellation-tolerant.  Every pending
+occurrence is one plain tuple ``(time, priority, seq, fn, args, handle)``:
+``seq`` is unique, so ``heapq`` decides every comparison in C on the
+first three fields and event ordering never executes Python.  ``handle``
+is ``None`` for fire-and-forget work (``schedule_transient*``), the
+:class:`Event` a cancellable scheduling call returned, or the
+:class:`EventChain` that owns the occurrence.  Pending events live in two
+structures ordered by ``(time, priority, seq)``:
 
 * a **binary heap** — the general store for events that usually fire
   (frame arrivals, CPU completions, workload wake-ups);
@@ -19,12 +25,10 @@ events, which is what makes every experiment in :mod:`benchmarks` exactly
 repeatable — the property the paper's UNITES subsystem calls *controlled,
 empirical experimentation* (§4.3).
 
-Heap-resident events cancel lazily (marked, skipped when popped),
-but the queue **compacts** the heap in place when cancelled entries
-come to dominate it, so pathological churn cannot grow the heap without
-bound.  A free-list recycles the ``Event`` records of the pooled
-scheduling APIs (``schedule_timer`` / ``schedule_transient``) so the
-steady-state schedule/cancel cycle stops allocating.
+Heap-resident events cancel lazily (handle marked, entry skipped when
+popped), but the queue **compacts** the heap in place when cancelled
+entries come to dominate it, so pathological churn cannot grow the heap
+without bound.
 
 See ``docs/performance.md`` for the design rationale, the compaction
 policy, and the determinism argument.
@@ -32,9 +36,9 @@ policy, and the determinism argument.
 
 from __future__ import annotations
 
-import heapq
 import math
-from heapq import heappop as _heappop, heappush as _heappush
+from collections import deque
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
@@ -46,7 +50,13 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A single scheduled occurrence.
+    """Cancellable handle for one scheduled occurrence.
+
+    Returned by :meth:`Simulator.schedule`, :meth:`~Simulator.schedule_at`
+    and :meth:`~Simulator.schedule_timer`; safe to keep for as long as the
+    caller likes — :meth:`Simulator.cancel` on a handle that has fired or
+    was already cancelled is a no-op.  Handles are never compared: the
+    heap orders the entry tuple, not this record.
 
     Attributes
     ----------
@@ -58,17 +68,16 @@ class Event:
         Kernel-assigned monotone sequence number — the final tie-breaker that
         makes simultaneous-event ordering deterministic.
     fn / args:
-        Callback invoked as ``fn(*args)`` when the event fires.
-    pooled:
-        Kernel-internal: the record returns to the free-list once retired.
-        Pooled handles must not be used after their event fires.
+        Callback invoked as ``fn(*args)`` when the event fires.  The run
+        loop clears ``fn`` as it pops the entry, which is how ``cancel``
+        recognises a handle that has already fired.
     wheeled:
         Kernel-internal: the event is currently parked in the timer wheel
         (cleared when it is flushed into the heap).
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled",
-                 "pooled", "wheeled", "chain")
+                 "wheeled")
 
     def __init__(
         self,
@@ -84,22 +93,11 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self.pooled = False
         self.wheeled = False
-        #: kernel-internal: set on an EventChain's sentinel record so the
-        #: run loop re-arms (or batch-drains) the chain after firing
-        self.chain = None
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it (idempotent, O(1))."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -118,9 +116,6 @@ WHEEL_LEVELS = 3
 #: heap compaction: rebuild in place once at least this many cancelled
 #: entries sit in the heap AND they are at least half of its depth
 COMPACT_MIN_CANCELLED = 512
-
-#: free-list bound: recycled Event records kept for reuse
-FREELIST_MAX = 4096
 
 
 class HierarchicalTimerWheel:
@@ -205,9 +200,8 @@ class HierarchicalTimerWheel:
     def note_cancel(self, ev: Event) -> None:
         """A parked event was cancelled: it is dead, O(1), no heap contact.
 
-        The record stays in its bucket (recycled when the bucket drains) —
-        removing it here would cost a bucket scan, and recycling it early
-        would let a reused record be flushed twice.
+        The record stays in its bucket until the bucket drains — removing
+        it here would cost a bucket scan.
         """
         ev.wheeled = False
         self.live -= 1
@@ -236,8 +230,8 @@ class HierarchicalTimerWheel:
         """Flush every bucket that can hold events at or before ``target``.
 
         Surviving events either re-park in a finer bucket (cascade) or get
-        pushed into ``queue``'s heap; cancelled events are discarded (and
-        recycled when pooled) without ever touching the heap.  On return
+        their heap entry built and pushed into ``queue``'s heap; cancelled
+        events are discarded without ever touching the heap.  On return
         ``flushed_until`` is the next g0 boundary strictly past ``target``.
         """
         g0 = self.granularities[0]
@@ -263,14 +257,14 @@ class HierarchicalTimerWheel:
                             ev.wheeled = False
                             self.live -= 1
                             self.cancelled_killed += 1
-                        queue._retire(ev)
                         continue
                     self.live -= 1
                     ev.wheeled = False
                     if ev.time >= new_fu and self.insert(ev):
                         continue  # cascaded into a finer bucket
                     self.flushed += 1
-                    _heappush(heap, ev)
+                    _heappush(heap, (ev.time, ev.priority, ev.seq,
+                                     ev.fn, ev.args, ev))
         self.min_occupied_start()  # recache min_start after the drain
 
 
@@ -289,10 +283,11 @@ class EventQueue:
 
     __slots__ = ("_heap", "_live", "_heap_cancelled", "popped_live",
                  "skipped_cancelled", "compactions", "compacted_events",
-                 "wheel", "_free")
+                 "wheel")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: entries ``(time, priority, seq, fn, args, handle)``
+        self._heap: list[tuple] = []
         self._live = 0
         self._heap_cancelled = 0
         self.popped_live = 0
@@ -300,13 +295,14 @@ class EventQueue:
         self.compactions = 0
         self.compacted_events = 0
         self.wheel = HierarchicalTimerWheel()
-        self._free: list[Event] = []
 
     # ------------------------------------------------------------------
     # intake
     # ------------------------------------------------------------------
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
+        """Heap the entry of a cancellable ``event``."""
+        _heappush(self._heap, (event.time, event.priority, event.seq,
+                               event.fn, event.args, event))
         self._live += 1
 
     def push_timer(self, event: Event) -> None:
@@ -317,49 +313,8 @@ class EventQueue:
             self.push(event)
 
     # ------------------------------------------------------------------
-    # free-list
-    # ------------------------------------------------------------------
-    def _retire(self, ev: Event) -> None:
-        """Return a retired pooled record to the free-list (refs dropped)."""
-        if ev.pooled:
-            ev.fn = None
-            ev.args = ()
-            free = self._free
-            if len(free) < FREELIST_MAX:
-                free.append(ev)
-
-    def alloc(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        pooled: bool,
-    ) -> Event:
-        """Build (or recycle) an Event record."""
-        if pooled and self._free:
-            ev = self._free.pop()
-            ev.time = time
-            ev.priority = priority
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-            ev.wheeled = False
-            return ev
-        ev = Event(time, priority, seq, fn, args)
-        ev.pooled = pooled
-        return ev
-
-    # ------------------------------------------------------------------
     # cancellation bookkeeping
     # ------------------------------------------------------------------
-    def note_cancel(self) -> None:
-        """Inform the queue that one of its heap events was cancelled."""
-        self._live -= 1
-        self._heap_cancelled += 1
-
     def note_cancel_event(self, ev: Event) -> None:
         """Cancellation with the event in hand: wheel kills are O(1)."""
         self._live -= 1
@@ -380,55 +335,47 @@ class EventQueue:
         loop stay valid.
         """
         heap = self._heap
-        removed = 0
-        live: list[Event] = []
-        for ev in heap:
-            if ev.cancelled:
-                removed += 1
-                self._retire(ev)
-            else:
-                live.append(ev)
-        heap[:] = live
-        heapq.heapify(heap)
+        depth = len(heap)
+        heap[:] = [e for e in heap if e[5] is None or not e[5].cancelled]
+        _heapify(heap)
         self._heap_cancelled = 0
         self.compactions += 1
-        self.compacted_events += removed
+        self.compacted_events += depth - len(heap)
 
     # ------------------------------------------------------------------
     # extraction
     # ------------------------------------------------------------------
-    def _front(self) -> Optional[Event]:
-        """Expose the global earliest live event at ``_heap[0]``.
+    def _front(self) -> Optional[tuple]:
+        """Expose the global earliest live entry at ``_heap[0]``.
 
         Skips cancelled heap tops and flushes the wheel just far enough to
         guarantee no parked timer could precede the heap top.  Returns the
-        event (still heap-resident) or None when nothing is pending.
+        entry (still heap-resident) or None when nothing is pending.
         """
         heap = self._heap
         wheel = self.wheel
         while True:
             while heap:
-                ev = heap[0]
-                if ev.cancelled:
-                    _heappop(heap)
-                    self.skipped_cancelled += 1
-                    if self._heap_cancelled > 0:
-                        self._heap_cancelled -= 1
-                    self._retire(ev)
-                else:
+                handle = heap[0][5]
+                if handle is None or not handle.cancelled:
                     break
+                _heappop(heap)
+                self.skipped_cancelled += 1
+                if self._heap_cancelled > 0:
+                    self._heap_cancelled -= 1
             if not wheel.live:
                 return heap[0] if heap else None
             if heap:
                 top = heap[0]
-                if top.time < wheel.flushed_until:
+                t = top[0]
+                if t < wheel.flushed_until:
                     return top
                 # flush only as far as the earliest contender requires;
                 # min_start is the cached earliest occupied-bucket start
                 start = wheel.min_start
-                if top.time < start:
+                if t < start:
                     return top
-                wheel.advance(start if start < top.time else top.time, self)
+                wheel.advance(start if start < t else t, self)
             else:
                 start = wheel.min_start
                 if start == float("inf"):
@@ -439,20 +386,23 @@ class EventQueue:
                     start = wheel.min_start
                 wheel.advance(start, self)
 
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or None if empty."""
-        ev = self._front()
-        if ev is None:
+    def pop(self) -> Optional[tuple]:
+        """Pop the earliest non-cancelled entry, or None if empty."""
+        entry = self._front()
+        if entry is None:
             return None
         _heappop(self._heap)
         self._live -= 1
         self.popped_live += 1
-        return ev
+        handle = entry[5]
+        if handle.__class__ is Event:
+            handle.fn = None  # fired: a later cancel() is a no-op
+        return entry
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event, or None."""
-        ev = self._front()
-        return ev.time if ev is not None else None
+        entry = self._front()
+        return entry[0] if entry is not None else None
 
     # ------------------------------------------------------------------
     @property
@@ -519,15 +469,14 @@ class RepeatingEvent:
 
 
 class EventChain:
-    """A monotone stream of occurrences sharing one heap sentinel.
+    """A monotone stream of occurrences sharing one heap slot.
 
     The batch-drain hook for components that emit long runs of
     nondecreasing-time events from a single logical source — a link's
-    serialization completions, its propagation arrivals.  Instead of one
-    heap-resident :class:`Event` per occurrence, the chain keeps a plain
-    ``deque`` of ``(time, priority, seq, fn, args)`` tuples and exposes a
-    single sentinel Event that always carries the *earliest* pending
-    occurrence's key.  Appending to a busy chain is a deque append — no
+    serialization completions, its propagation arrivals.  Only the
+    *earliest* pending occurrence sits in the heap; the rest wait in a
+    plain ``deque`` as ready-made ``(time, priority, seq, fn, args,
+    chain)`` entries.  Appending to a busy chain is a deque append — no
     ``heappush`` — and the inlined run loop may **drain several
     occurrences from one heap pop** when it can prove no other pending
     event precedes them in the ``(time, priority, seq)`` total order.
@@ -537,34 +486,37 @@ class EventChain:
     * every occurrence claims its ``seq`` from the simulator's global
       counter at schedule time, at the same call sites as before, so
       tie-breaking against foreign events is bit-identical;
-    * the sentinel always sits in the heap under the head occurrence's
-      own ``(time, priority, seq)`` key, so heap ordering is the order
-      the per-event scheme would have produced;
+    * the head occurrence sits in the heap under its own ``(time,
+      priority, seq)`` key, so heap ordering is the order the per-event
+      scheme would have produced;
     * inline draining fires an occurrence early only when the heap top
       and the timer wheel provably contain nothing that precedes it —
-      otherwise the sentinel is re-pushed and ordering falls back to the
+      otherwise the occurrence is pushed and ordering falls back to the
       ordinary pop discipline.
 
     Occurrences are fire-and-forget (no cancellation handle); a stream
     that needs cancellable events should keep using the plain scheduling
-    APIs.  An out-of-order append (time earlier than the last pending
-    occurrence) falls back to :meth:`Simulator.schedule_transient_at`
+    APIs.  An out-of-order append (``(time, priority)`` below the last
+    pending occurrence's) falls back to :meth:`Simulator.schedule_transient_at`
     transparently, so monotonicity is an optimization contract, not a
     correctness obligation on callers.
     """
 
-    __slots__ = ("sim", "pending", "sentinel", "armed", "last_time",
+    __slots__ = ("sim", "pending", "armed", "last_time", "last_priority",
                  "appended", "fallbacks", "drained_inline")
 
-    def __init__(self, sim: "Simulator") -> None:
-        from collections import deque
+    #: a chain's entries are never cancelled (read where handles are tested)
+    cancelled = False
 
+    def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.pending: Any = deque()
-        self.sentinel = Event(0.0, 0, 0, None, ())
-        self.sentinel.chain = self
+        self.pending: deque = deque()
+        #: True while one of this chain's entries is in the heap or firing
         self.armed = False
+        #: (time, priority) of the newest accepted occurrence: the stream
+        #: stays sorted as long as appends do not go below it (seq only grows)
         self.last_time = 0.0
+        self.last_priority = 0
         #: occurrences accepted (stats; fallbacks are *not* counted here)
         self.appended = 0
         #: out-of-order schedules routed to the plain transient API
@@ -575,45 +527,52 @@ class EventChain:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  priority: int = 0) -> None:
         """Append ``fn(*args)`` at ``now + delay`` to the stream."""
-        self.schedule_at(self.sim._now + delay, fn, *args, priority=priority)
+        sim = self.sim
+        time = sim._now + delay
+        if time < sim._now or (self.armed and (
+                time < self.last_time
+                or (time == self.last_time and priority < self.last_priority))):
+            self._fallback(time, fn, args, priority)
+            return
+        sim._seq = seq = sim._seq + 1
+        self.appended += 1
+        self.last_time = time
+        self.last_priority = priority
+        q = sim._queue
+        q._live += 1
+        if self.armed:
+            self.pending.append((time, priority, seq, fn, args, self))
+        else:
+            self.armed = True
+            _heappush(q._heap, (time, priority, seq, fn, args, self))
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any,
                     priority: int = 0) -> None:
+        """Absolute-time variant of :meth:`schedule`."""
         sim = self.sim
-        if time < sim._now or (self.armed and time < self.last_time):
-            # keep total order: a non-monotone occurrence takes the
-            # ordinary heap route (still fires at its exact key)
-            self.fallbacks += 1
-            sim.schedule_transient_at(time, fn, *args, priority=priority)
+        if time < sim._now or (self.armed and (
+                time < self.last_time
+                or (time == self.last_time and priority < self.last_priority))):
+            self._fallback(time, fn, args, priority)
             return
-        sim._seq += 1
+        sim._seq = seq = sim._seq + 1
         self.appended += 1
         self.last_time = time
-        sim._queue._live += 1
-        if not self.armed:
-            s = self.sentinel
-            s.time = time
-            s.priority = priority
-            s.seq = sim._seq
-            s.fn = fn
-            s.args = args
+        self.last_priority = priority
+        q = sim._queue
+        q._live += 1
+        if self.armed:
+            self.pending.append((time, priority, seq, fn, args, self))
+        else:
             self.armed = True
-            _heappush(sim._queue._heap, s)
-        else:
-            self.pending.append((time, priority, sim._seq, fn, args))
+            _heappush(q._heap, (time, priority, seq, fn, args, self))
 
-    def _rearm(self) -> None:
-        """After the sentinel fired: load the next occurrence, re-push."""
-        pending = self.pending
-        if pending:
-            s = self.sentinel
-            s.time, s.priority, s.seq, s.fn, s.args = pending.popleft()
-            _heappush(self.sim._queue._heap, s)
-        else:
-            self.armed = False
-            s = self.sentinel
-            s.fn = None
-            s.args = ()
+    def _fallback(self, time: float, fn: Callable[..., Any], args: tuple,
+                  priority: int) -> None:
+        # keep total order: a non-monotone occurrence takes the ordinary
+        # heap route (still fires at its exact key)
+        self.fallbacks += 1
+        self.sim.schedule_transient_at(time, fn, *args, priority=priority)
 
     def __len__(self) -> int:
         return len(self.pending) + (1 if self.armed else 0)
@@ -700,9 +659,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
-        self._seq += 1
-        ev = Event(time, priority, self._seq, fn, args)
-        self._queue.push(ev)
+        self._seq = seq = self._seq + 1
+        ev = Event(time, priority, seq, fn, args)
+        q = self._queue
+        q._live += 1
+        _heappush(q._heap, (time, priority, seq, fn, args, ev))
         return ev
 
     def schedule_timer(
@@ -714,19 +675,16 @@ class Simulator:
     ) -> Event:
         """Schedule a *cancel-heavy* timer expiry ``delay`` seconds out.
 
-        Routed through the hierarchical timer wheel: if the timer is
-        cancelled before becoming imminent it dies in O(1) without heap
-        contact, and its pooled record is recycled.  The returned handle
-        is valid until the event fires or is cancelled — callers (the
-        :class:`~repro.sim.timers.Timer` machinery) must drop it then.
-        Firing order is bit-identical to :meth:`schedule`.
+        Routed through the hierarchical timer wheel: the wheel parks the
+        handle and builds its heap entry only when the timer becomes
+        imminent, so a timer cancelled before then dies in O(1) without
+        heap contact.  Firing order is bit-identical to :meth:`schedule`.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        q = self._queue
-        ev = q.alloc(self._now + delay, priority, self._seq, fn, args, pooled=True)
-        q.push_timer(ev)
+        ev = Event(self._now + delay, priority, self._seq, fn, args)
+        self._queue.push_timer(ev)
         return ev
 
     def schedule_transient(
@@ -735,19 +693,21 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> Event:
-        """Schedule a fire-and-forget event whose record is recycled.
+    ) -> None:
+        """Schedule a fire-and-forget event: no handle, no record.
 
-        For hot-path events that almost always fire (frame serialization,
-        propagation arrivals, CPU completions): heap-routed like
-        :meth:`schedule`, but the Event comes from — and returns to — the
-        kernel free-list.  The handle may be cancelled while pending but
-        must not be retained after the event fires.
+        For hot-path events that always fire (node forwarding, CPU
+        completions, cross-shard arrivals): ordered exactly like
+        :meth:`schedule`, but the heap entry is all there is — nothing is
+        returned, so nothing can cancel it.  Use :meth:`schedule` when
+        the caller needs a handle.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_transient_at(self._now + delay, fn, *args,
-                                          priority=priority)
+        self._seq = seq = self._seq + 1
+        q = self._queue
+        q._live += 1
+        _heappush(q._heap, (self._now + delay, priority, seq, fn, args, None))
 
     def schedule_transient_at(
         self,
@@ -755,17 +715,16 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> Event:
+    ) -> None:
         """Absolute-time variant of :meth:`schedule_transient`."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self._now})"
             )
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         q = self._queue
-        ev = q.alloc(time, priority, self._seq, fn, args, pooled=True)
-        q.push(ev)
-        return ev
+        q._live += 1
+        _heappush(q._heap, (time, priority, seq, fn, args, None))
 
     def make_chain(self) -> EventChain:
         """Create an :class:`EventChain` — the batch-drain scheduling hook.
@@ -779,24 +738,24 @@ class Simulator:
         """Cancel a previously scheduled event (idempotent).
 
         Accepts plain :class:`Event` handles and the :class:`RepeatingEvent`
-        handles returned by :meth:`call_each`.
+        handles returned by :meth:`call_each`.  A handle that has already
+        fired or been cancelled is left alone.
         """
         if isinstance(event, RepeatingEvent):
             event.cancel()
             return
-        if not event.cancelled:
+        if event.fn is not None and not event.cancelled:
             event.cancelled = True
             self._queue.note_cancel_event(event)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _dispatch_instrumented(self, ev: Event) -> None:
+    def _dispatch_instrumented(self, fn: Callable[..., Any], args: tuple) -> None:
         """Telemetry-enabled dispatch: per-handler wall profiling + spans."""
-        fn = ev.fn
         name = getattr(fn, "__qualname__", None) or type(fn).__name__
         w0 = perf_counter()
-        fn(*ev.args)
+        fn(*args)
         wall = perf_counter() - w0
         t = _TELEMETRY
         m = t.metrics
@@ -842,7 +801,6 @@ class Simulator:
         q = self._queue
         front = q._front
         heap = q._heap
-        free = q._free
         wheel = q.wheel
         tele = _TELEMETRY
         budget = -1 if max_events is None else max_events
@@ -852,17 +810,23 @@ class Simulator:
             while not self._stopped and n != budget:
                 # fast path: a live heap top that provably precedes every
                 # parked timer can be taken without consulting the wheel
-                ev = heap[0] if heap else None
-                if ev is None or ev.cancelled or (
+                entry = heap[0] if heap else None
+                if entry is None or (
+                        entry[5] is not None and entry[5].cancelled) or (
                         wheel.live
-                        and ev.time >= wheel.flushed_until
-                        and ev.time >= wheel.min_start):
-                    ev = front()
-                    if ev is None:
+                        and entry[0] >= wheel.flushed_until
+                        and entry[0] >= wheel.min_start):
+                    entry = front()
+                    if entry is None:
                         break
-                t = ev.time
+                t, _, _, fn, args, handle = entry
                 if until is not None and t > until:
                     break
+                _heappop(heap)
+                q._live -= 1
+                self._now = t
+                if handle is not None and handle.__class__ is Event:
+                    handle.fn = None  # fired: a later cancel() is a no-op
                 if tele.enabled:
                     # slow, exact branch: flush batched counters first so
                     # instrumentation gauges read true values
@@ -871,54 +835,42 @@ class Simulator:
                         self.events_dispatched += fast
                         q.popped_live += fast
                     counted = n + 1
-                    _heappop(heap)
-                    q._live -= 1
                     q.popped_live += 1
-                    self._now = t
                     self.events_dispatched += 1
-                    self._dispatch_instrumented(ev)
+                    self._dispatch_instrumented(fn, args)
                 else:
-                    _heappop(heap)
-                    q._live -= 1
-                    self._now = t
-                    ev.fn(*ev.args)
+                    fn(*args)
                 n += 1
-                if ev.pooled:
-                    ev.fn = None
-                    ev.args = ()
-                    if len(free) < FREELIST_MAX:
-                        free.append(ev)
-                elif ev.chain is not None:
+                if handle is not None and handle.__class__ is EventChain:
                     # batch-drain hook: fire successive chain occurrences
                     # off this one heap pop while each provably precedes
                     # every other pending event in (time, priority, seq)
-                    ch = ev.chain
-                    pending = ch.pending
+                    pending = handle.pending
                     if pending and not tele.enabled:
                         drained = 0
                         while pending:
-                            nt, npr, ns, nfn, nargs = pending[0]
+                            nxt = pending[0]
+                            nt = nxt[0]
                             if ((until is not None and nt > until)
                                     or self._stopped or n == budget):
                                 break
-                            if heap:
-                                h0 = heap[0]
-                                if not (nt < h0.time or (
-                                        nt == h0.time
-                                        and (npr, ns) < (h0.priority, h0.seq))):
-                                    break
+                            if heap and not nxt < heap[0]:
+                                break
                             if (wheel.live and nt >= wheel.flushed_until
                                     and nt >= wheel.min_start):
                                 break
                             pending.popleft()
                             q._live -= 1
                             self._now = nt
-                            nfn(*nargs)
+                            nxt[3](*nxt[4])
                             n += 1
                             drained += 1
                         if drained:
-                            ch.drained_inline += drained
-                    ch._rearm()
+                            handle.drained_inline += drained
+                    if pending:
+                        _heappush(heap, pending.popleft())
+                    else:
+                        handle.armed = False
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:

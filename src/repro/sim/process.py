@@ -39,7 +39,7 @@ class Process:
         self._gen: Optional[ProcessBody] = body(*args)
         self._event: Optional[Event] = None
         self.finished = False
-        self._event = sim.schedule_transient(start_delay, self._resume)
+        self._event = sim.schedule(start_delay, self._resume)
 
     def _resume(self) -> None:
         self._event = None
@@ -55,7 +55,7 @@ class Process:
             raise ValueError(
                 f"process {self.name!r} yielded invalid delay {delay!r}"
             )
-        self._event = self.sim.schedule_transient(delay, self._resume)
+        self._event = self.sim.schedule(delay, self._resume)
 
     def kill(self) -> None:
         """Stop the process; any pending resume is cancelled."""

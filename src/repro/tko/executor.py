@@ -25,7 +25,7 @@ Only wall time differs — which is the paper's Synthesis/SELF point.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.netsim.frame import Frame, PRIO_CONTROL, PRIO_HIGH, PRIO_NORMAL
 from repro.tko.interpreter import NETWORK_HEADER_BYTES
@@ -96,7 +96,7 @@ class _ExecutorBase:
         s = self.s
         if s._pump_event is not None and not s._pump_event.cancelled:
             return
-        s._pump_event = s.sim.schedule_transient(delay, self._pump_fire)
+        s._pump_event = s.sim.schedule(delay, self._pump_fire)
 
     def _pump_fire(self) -> None:
         self.s._pump_event = None

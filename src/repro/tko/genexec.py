@@ -28,7 +28,7 @@ share one code object and pay only a closure construction each.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.netsim.frame import Frame, _frame_ids
 from repro.tko.executor import CompiledExecutor, _msg_counter
@@ -46,9 +46,6 @@ from repro.tko.pdu import (
 from repro.tko.state import SendEntry
 from repro.tko.util import noop
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.tko.session import TKOSession
 
 #: structural key -> exec-compiled factory; the process-wide codegen cache
 _FACTORY_CACHE: Dict[Tuple, Callable] = {}

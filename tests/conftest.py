@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.host.nic import Host
 from repro.netsim.profiles import ethernet_10, linear_path
@@ -10,6 +11,11 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.tko.config import SessionConfig
 from repro.tko.protocol import TKOProtocol
+
+#: ``--hypothesis-profile=ci``: a deeper, reproducible search for the CI
+#: jobs that run one property file; Tier-1 keeps Hypothesis' default budget
+settings.register_profile("ci", max_examples=500, derandomize=True,
+                          deadline=None)
 
 
 class TwoHosts:

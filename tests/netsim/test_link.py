@@ -63,6 +63,32 @@ class TestQueueing:
         link.send(Frame("A", "B", 1500))
         assert link.queue_len == 1
 
+    def test_queue_len_count_equals_recount(self, sim):
+        # queue_len is a maintained count; every site that moves a frame
+        # in or out of the queues must keep it equal to the recount
+        link, _ = make_link(sim, queue_limit=6)
+
+        def recount():
+            return sum(len(q) for q in link._queues)
+
+        prios = (PRIO_NORMAL, PRIO_CONTROL, 2)
+        for i in range(10):  # one on the wire, six queued, three overflow
+            link.send(Frame("A", "B", 1500, priority=prios[i % 3]))
+        assert link.stats.dropped_overflow == 3
+        assert link.queue_len == recount() == 6
+        link.set_queue_limit(2)  # shrink drops from the back
+        assert link.queue_len == recount() == 2
+        sim.run(until=0.002)  # _start_next dequeues as the wire frees
+        assert link.queue_len == recount() == 1
+        link.send(Frame("A", "B", 1500))
+        link.fail()
+        assert link.queue_len == recount() == 0
+        link.restore()
+        link.send(Frame("A", "B", 1500))
+        assert link.queue_len == recount() == 1  # behind the doomed frame
+        sim.run()
+        assert link.queue_len == recount() == 0
+
     def test_oversize_frame_is_black_holed(self, sim):
         link, got = make_link(sim, mtu=1500)
         assert link.send(Frame("A", "B", 1501)) is False

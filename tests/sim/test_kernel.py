@@ -13,53 +13,47 @@ from repro.sim.kernel import (
 
 
 class TestEventQueue:
+    """Entries are ``(time, priority, seq, fn, args, handle)`` tuples."""
+
     def test_pop_orders_by_time(self):
         q = EventQueue()
         for i, t in enumerate([3.0, 1.0, 2.0]):
             q.push(Event(t, 0, i, lambda: None, ()))
-        assert [q.pop().time for _ in range(3)] == [1.0, 2.0, 3.0]
+        assert [q.pop()[0] for _ in range(3)] == [1.0, 2.0, 3.0]
 
     def test_priority_breaks_time_ties(self):
         q = EventQueue()
         q.push(Event(1.0, 5, 1, lambda: None, ()))
         q.push(Event(1.0, 0, 2, lambda: None, ()))
-        assert q.pop().priority == 0
+        assert q.pop()[1] == 0
 
     def test_seq_breaks_full_ties_fifo(self):
         q = EventQueue()
         q.push(Event(1.0, 0, 10, lambda: None, ()))
         q.push(Event(1.0, 0, 11, lambda: None, ()))
-        assert q.pop().seq == 10
+        assert q.pop()[2] == 10
 
-    def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        e1 = Event(1.0, 0, 1, lambda: None, ())
-        e2 = Event(2.0, 0, 2, lambda: None, ())
-        q.push(e1)
-        q.push(e2)
-        e1.cancel()
-        q.note_cancel()
-        assert q.pop() is e2
+    def test_cancelled_events_are_skipped(self, sim):
+        e1 = sim.schedule(1.0, lambda: None)
+        e2 = sim.schedule(2.0, lambda: None)
+        sim.cancel(e1)
+        q = sim._queue
+        assert q.pop()[5] is e2
         assert q.pop() is None
 
-    def test_len_tracks_live_events(self):
-        q = EventQueue()
-        e = Event(1.0, 0, 1, lambda: None, ())
-        q.push(e)
+    def test_len_tracks_live_events(self, sim):
+        e = sim.schedule(1.0, lambda: None)
+        q = sim._queue
         assert len(q) == 1
-        e.cancel()
-        q.note_cancel()
+        sim.cancel(e)
         assert len(q) == 0
         assert not q
 
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e1 = Event(1.0, 0, 1, lambda: None, ())
-        q.push(e1)
-        q.push(Event(2.0, 0, 2, lambda: None, ()))
-        e1.cancel()
-        q.note_cancel()
-        assert q.peek_time() == 2.0
+    def test_peek_time_skips_cancelled(self, sim):
+        e1 = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(e1)
+        assert sim._queue.peek_time() == 2.0
 
 
 class TestSimulator:
@@ -131,6 +125,25 @@ class TestSimulator:
         sim.cancel(ev)
         sim.cancel(ev)
         assert sim.pending() == 0
+
+    def test_cancel_after_fire_is_a_noop(self, sim):
+        # used to drive the live count negative: pending() raised
+        # ValueError and a later event left the queue falsy
+        ev = sim.schedule(1.0, lambda: None)
+        sim.run()
+        sim.cancel(ev)
+        assert sim.pending() == 0
+        sim.schedule(1.0, lambda: None)
+        assert sim.pending() == 1
+        assert sim._queue
+        assert sim._queue._heap_cancelled == 0
+
+    def test_callback_cancelling_its_own_handle_is_a_noop(self, sim):
+        box = []
+        box.append(sim.schedule(1.0, lambda: sim.cancel(box[0])))
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert sim.pending() == 1
 
     def test_events_scheduled_during_run(self, sim):
         out = []
@@ -215,11 +228,11 @@ class TestSimulator:
 
 
 class TestFastPath:
-    """The wheel/pool/compaction fast path."""
+    """The wheel/entry-tuple/compaction fast path."""
 
     def test_firing_order_identical_to_legacy(self, sim):
         # timers + transients + plain events with heavy cancellation: the
-        # wheel, the pool and the heap together must fire exactly the
+        # wheel and the heap together must fire exactly the
         # live events, in (time, priority, schedule order) — the order
         # the heap-only kernel defined.  All priorities are equal here
         # and delays repeat every 23 steps, so ties fall to schedule order.
@@ -234,7 +247,6 @@ class TestFastPath:
             sim.schedule(delay + 0.001, tag, f"plain{i}")
             sim.schedule_transient(delay + 0.002, tag, f"transient{i}")
             # cancel most timers at staggered times, always pre-expiry
-            # (a pooled handle is only valid until it fires)
             if i % 4:
                 sim.schedule(delay * (i % 3 + 1) / 4.0, sim.cancel, h)
             else:
@@ -263,20 +275,45 @@ class TestFastPath:
         assert sim.events_dispatched == 0
         assert sim.now == 0.0
 
-    def test_free_list_recycles_fired_timer_records(self, sim):
-        ev1 = sim.schedule_timer(0.5, lambda: None)
-        sim.run()
-        ev2 = sim.schedule_timer(0.5, lambda: None)
-        assert ev2 is ev1  # same record, re-armed from the free list
+    def test_wheel_cancelled_timer_performs_zero_heap_pushes(self, sim):
+        handles = [sim.schedule_timer(0.5 + i * 0.01, lambda: None)
+                   for i in range(50)]
+        for h in handles:
+            sim.cancel(h)
+        sim.run(until=2.0)  # drains every bucket the timers were parked in
+        q = sim._queue
+        assert q.wheel.cancelled_killed == 50
+        assert q.wheel.flushed == 0
+        assert q.heap_depth == 0
+        assert q.popped_live == q.skipped_cancelled == 0
+
+    def test_event_defines_no_rich_comparison(self):
+        # the heap orders entry tuples on (time, priority, seq) in C;
+        # nothing may compare handles
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(Event, op) is getattr(object, op)
+        a, b = Event(1.0, 0, 1, None, ()), Event(2.0, 0, 2, None, ())
+        with pytest.raises(TypeError):
+            a < b
+
+    def test_transient_scheduling_returns_no_handle(self, sim):
+        assert sim.schedule_transient(0.5, lambda: None) is None
+        assert sim.schedule_transient_at(0.5, lambda: None) is None
         sim.run()
         assert sim.events_dispatched == 2
 
-    def test_plain_schedule_is_never_pooled(self, sim):
-        ev1 = sim.schedule(0.5, lambda: None)
+    def test_stale_timer_handle_cannot_cancel_a_later_timer(self, sim):
+        # with pooled records the stale handle *was* the later timer's
+        # record, and cancelling it silenced a stranger
+        out = []
+        stale = sim.schedule_timer(1.0, out.append, "first")
         sim.run()
-        ev2 = sim.schedule(0.5, lambda: None)
-        assert ev2 is not ev1
-        assert not ev1.pooled
+        later = sim.schedule_timer(1.0, out.append, "second")
+        assert later is not stale
+        sim.cancel(stale)
+        sim.run()
+        assert out == ["first", "second"]
+        assert sim.pending() == 0
 
     def test_heap_compaction_purges_cancelled_backlog(self, sim):
         n = COMPACT_MIN_CANCELLED * 2
@@ -318,4 +355,4 @@ class TestFastPath:
         q.push_timer(ev)
         assert not ev.wheeled
         assert q.heap_depth == 1
-        assert q.pop() is ev
+        assert q.pop()[5] is ev
