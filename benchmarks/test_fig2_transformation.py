@@ -8,8 +8,15 @@ configuration ... process is overly time-consuming", so TKO_Templates
 
 Shape: instantiating a session with a warm template cache must charge the
 host CPU several times fewer instructions than a cold full synthesis, and
-a static template must be cheaper still.
+a static template must be cheaper still.  The charged model is not the
+only place the claim has to hold: a hit must also cost the *host running
+the reproduction* less than a miss (a hit stamps shared compiled
+artefacts; a miss composes, compiles and warms) — asserted as a ratio of
+medians, never as absolute microseconds.
 """
+
+import statistics
+from time import perf_counter
 
 from repro.host.nic import Host
 from repro.mantts.acd import ACD
@@ -52,6 +59,35 @@ def instantiation_cost(binding: str, warm: bool) -> float:
     return host.cpu.instructions_retired - before
 
 
+#: a template hit must take at most this share of a miss's host time
+#: (measured 0.34 on a 2-vCPU py3.11 box; 0.47 before hits shared the
+#: compiled pipeline — docs/performance.md, "Session instantiation")
+HIT_OVER_MISS_HOST_TIME = 0.6
+
+
+def instantiation_host_time(samples: int = 300):
+    """Median wall seconds of one ``instantiate``: (miss, hit).
+
+    Each sample pairs the first session of a fresh template cache (the
+    miss) with the second (the hit), same host, same configuration.
+    """
+    sim = Simulator()
+    host = Host(sim, linear_path(sim, ethernet_10(), ("A", "B")), "A")
+    p = APP_PROFILES["file-transfer"]
+    acd = ACD(participants=("B",), quantitative=p.quantitative(),
+              qualitative=p.qualitative())
+    cfg = specify_scs(acd, PATH).config
+    miss, hit = [], []
+    for i in range(samples):
+        synth = TKOSynthesizer(TemplateCache())
+        for taken in (miss, hit):
+            t0 = perf_counter()
+            session = synth.instantiate(host, cfg, i, 9000, "B", 7000)
+            taken.append(perf_counter() - t0)
+            session.abort("sampled")
+    return statistics.median(miss), statistics.median(hit)
+
+
 def run_experiment():
     rows = []
     variants = [
@@ -78,6 +114,11 @@ def run_experiment():
     stage12_us = (time.perf_counter() - t0) / 200 * 1e6
     rows.append({"path": "stage I+II (host-side computation)",
                  "instructions": f"{stage12_us:.0f} us wall"})
+    miss_s, hit_s = instantiation_host_time()
+    costs["host miss"], costs["host hit"] = miss_s, hit_s
+    rows.append({"path": "stage III host time: template miss / hit",
+                 "instructions": f"{miss_s * 1e6:.0f} / {hit_s * 1e6:.0f} us wall "
+                                 f"(hit = {hit_s / miss_s:.2f} of a miss)"})
     return rows, costs
 
 
@@ -93,3 +134,5 @@ def test_fig2_transformation_stages(benchmark):
     static = costs["stage III: warm static template"]
     assert warm < cold / 2           # cache cuts configuration delay
     assert static < warm             # full customization is cheapest
+    # ... and a hit is cheaper than a miss on the machine running it too
+    assert costs["host hit"] < HIT_OVER_MISS_HOST_TIME * costs["host miss"]

@@ -6,25 +6,45 @@ loose wall-clock bound, every connection must establish, and a small run
 must be bit-identical across repeats and to the frozen golden values.
 The bound is generous so CI hardware variance cannot flake the suite;
 ``bench/run.py --workload churn_mixed`` measures the wall time.
+
+The same run pins three deterministic counters, so none of the per-
+connection costs PR 17 removed can silently return: no completion event
+that does nothing, no random stream without a live owner, and host-wide
+admission totals that equal a re-sum.
 """
 
 from time import perf_counter
 
-from repro.core.churn import identity_fields, run_churn
+from repro.core.churn import ChurnScenario, identity_fields, run_churn
 from tests import golden
+from tests.conftest import cpu_spy  # noqa: F401  (fixture)
 
 WALL_BOUND_S = 60.0
 
 
-def test_1k_churn_under_wall_bound():
+def test_1k_churn_under_wall_bound(cpu_spy):
+    completions, _ = cpu_spy
     w0 = perf_counter()
-    metrics = run_churn(1000, seed=7)
+    scenario = ChurnScenario(n_connections=1000, seed=7).run(until=20.0)
     wall = perf_counter() - w0
+    metrics = scenario.collect()
     assert wall < WALL_BOUND_S, f"1k churn took {wall:.1f}s"
     assert metrics["failed"] == 0
     assert metrics["peak_concurrent"] >= 1000
     assert metrics["established"] >= 1000
     assert metrics["delivered"] > 0
+    # deterministic counters
+    assert completions and "noop" not in completions
+    system = scenario.system
+    owners = {f"session:{name}:{conn_id}"
+              for name, node in system.nodes.items()
+              for conn_id in node.protocol.sessions}
+    streams = {s for s in system.rng._streams if s.startswith("session:")}
+    # (every session ever opened used to leave one behind)
+    assert streams <= owners, f"streams without a live session: {streams - owners}"
+    for node in system.nodes.values():
+        rm = node.mantts.resources
+        assert (rm.reserved_bps, rm.reserved_buffer) == rm.recount()
     print(f"\n1k churn: {wall:.2f}s wall, "
           f"{metrics['established']} established, "
           f"peak {metrics['peak_concurrent']} concurrent")

@@ -19,7 +19,7 @@ historical single-pool check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.host.nic import Host
 
@@ -75,6 +75,10 @@ class ResourceManager:
         self.buffer_budget = buffer_budget if buffer_budget is not None else host.buffers.capacity
         self.overbooking = overbooking
         self._reservations: Dict[str, Reservation] = {}
+        #: host-wide running totals, kept by admit/release/update so an
+        #: admission costs O(1), not a re-sum over every live reservation
+        self.reserved_bps = 0.0
+        self.reserved_buffer = 0
         self.refusals = 0
         self.admissions = 0
         self.releases = 0
@@ -82,13 +86,12 @@ class ResourceManager:
         self.class_pools: Dict[str, ClassPool] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def reserved_bps(self) -> float:
-        return sum(r.throughput_bps for r in self._reservations.values())
-
-    @property
-    def reserved_buffer(self) -> int:
-        return sum(r.buffer_bytes for r in self._reservations.values())
+    def recount(self) -> Tuple[float, int]:
+        """``(reserved_bps, reserved_buffer)`` re-summed from the table —
+        what the running totals must equal (exactly, on integral bps)."""
+        live = self._reservations.values()
+        return (sum(r.throughput_bps for r in live),
+                sum(r.buffer_bytes for r in live))
 
     def available_bps(self, tsc: Optional[str] = None) -> float:
         """Admissible bandwidth — host-wide, or within one class pool."""
@@ -146,6 +149,8 @@ class ResourceManager:
             return None
         r = Reservation(conn_ref, throughput_bps, buffer_bytes, tsc=tsc)
         self._reservations[conn_ref] = r
+        self.reserved_bps += throughput_bps
+        self.reserved_buffer += buffer_bytes
         self.admissions += 1
         if pool is not None:
             pool.reserved_bps += throughput_bps
@@ -162,6 +167,11 @@ class ResourceManager:
         if r is None:
             return
         self.releases += 1
+        if self._reservations:
+            self.reserved_bps -= r.throughput_bps
+            self.reserved_buffer -= r.buffer_bytes
+        else:  # an empty table reads exactly zero, whatever rounding did
+            self.reserved_bps, self.reserved_buffer = 0.0, 0
         pool = self.class_pools.get(r.tsc) if r.tsc is not None else None
         if pool is not None:
             pool.reserved_bps = max(0.0, pool.reserved_bps - r.throughput_bps)
@@ -180,6 +190,7 @@ class ResourceManager:
                 pool.reserved_bps = max(
                     0.0, pool.reserved_bps - r.throughput_bps + throughput_bps
                 )
+            self.reserved_bps += throughput_bps - r.throughput_bps
             r.throughput_bps = throughput_bps
 
     def class_stats(self) -> Dict[str, Dict[str, float]]:

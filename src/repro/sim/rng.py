@@ -42,6 +42,11 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
+    def discard(self, name: str) -> None:
+        """Forget one stream whose owner is gone (a closed session), so
+        the table tracks live owners, not every owner there ever was."""
+        self._streams.pop(name, None)
+
     def reset(self) -> None:
         """Forget all streams; subsequent calls restart their sequences."""
         self._streams.clear()

@@ -145,13 +145,12 @@ class SessionConfig:
 
     def to_dict(self) -> dict:
         """JSON-safe representation (for negotiation signalling)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
         """Rebuild from :meth:`to_dict` output (unknown keys rejected)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - _KNOWN_FIELDS
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
@@ -172,3 +171,9 @@ class SessionConfig:
             f"bind={self.binding}",
         ]
         return " ".join(parts)
+
+
+#: reflected once: every signalling message round-trips through
+#: ``to_dict`` / ``from_dict``
+_FIELD_NAMES = tuple(f.name for f in fields(SessionConfig))
+_KNOWN_FIELDS = frozenset(_FIELD_NAMES)

@@ -43,6 +43,9 @@ class TKOContext:
         if extra:
             raise ValueError(f"unknown mechanism slots: {sorted(extra)}")
         self._table: Dict[str, Mechanism] = dict(mechanisms)
+        # ctx.recovery, ctx.ack, ...: every slot is also a plain attribute
+        # (kept in step by segue), so reading one never misses into a hook
+        self.__dict__.update(mechanisms)
         self.session: "TKOSession | None" = None
         self.segue_count = 0
 
@@ -55,13 +58,6 @@ class TKOContext:
 
     def get(self, slot: str) -> Mechanism:
         return self._table[slot]
-
-    def __getattr__(self, slot: str) -> Mechanism:
-        # Convenience: ctx.recovery, ctx.ack, ... (only for known slots)
-        table = object.__getattribute__(self, "_table")
-        if slot in table:
-            return table[slot]
-        raise AttributeError(slot)
 
     def items(self) -> Iterator[Tuple[str, Mechanism]]:
         return iter(self._table.items())
@@ -90,6 +86,7 @@ class TKOContext:
         replacement.adopt(old)
         old.unbind()
         self._table[slot] = replacement
+        setattr(self, slot, replacement)
         self.segue_count += 1
         return old
 

@@ -33,7 +33,6 @@ from repro.tko.message import TKOMessage
 from repro.tko.pdu import PDU, PduType
 from repro.tko.pipeline import compile_pipeline
 from repro.tko.state import SendEntry
-from repro.tko.util import noop
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,8 +81,9 @@ class _ExecutorBase:
         self.s = session
 
     # -- lifecycle hooks -------------------------------------------------
-    def prime(self, specs=None) -> None:
-        """Called once after the context is bound (specs: cached stages)."""
+    def prime(self, specs=None, shared=None) -> None:
+        """Called once after the context is bound (a template's cached
+        stage specs and, on a hit, its finished pipeline for this host)."""
 
     def refresh_slot(self, slot: str, reason: str = "segue") -> None:
         """One mechanism was swapped; re-derive whatever depends on it."""
@@ -151,9 +151,7 @@ class _ExecutorBase:
             return
         data = message.materialize()  # the one app-boundary copy
         costs = s.host.cpu.costs
-        s.host.cpu.submit(
-            costs.per_byte_copy * len(data) + costs.context_switch, noop
-        )
+        s.host.cpu.charge(costs.per_byte_copy * len(data) + costs.context_switch)
         latency = s.sim.now - first.timestamp if first.timestamp else 0.0
         stats = s.stats
         stats.msgs_delivered += 1
@@ -293,7 +291,7 @@ class ReferenceExecutor(_ExecutorBase):
         if deferred > 0.0:
             # trailer checksum: computed during serialization — CPU burns
             # the cycles but the frame does not wait for them
-            s.host.cpu.submit(deferred, noop)
+            s.host.cpu.charge(deferred)
 
     # -- receive path ----------------------------------------------------
     def handle_frame(self, pdu: PDU, frame: "_Frame") -> None:
@@ -307,7 +305,7 @@ class ReferenceExecutor(_ExecutorBase):
             cost = s.cost_model.control_charge(pdu)
         s.host.cpu.submit(cost, self._process, pdu, frame)
         if deferred > 0.0:
-            s.host.cpu.submit(deferred, noop)
+            s.host.cpu.charge(deferred)
 
     def _process(self, pdu: PDU, frame: "_Frame") -> None:
         s = self.s
@@ -456,8 +454,8 @@ class CompiledExecutor(_ExecutorBase):
     kind = "compiled"
     pools_pdus = True
 
-    def prime(self, specs=None) -> None:
-        self.recompile("synthesize", specs=specs)
+    def prime(self, specs=None, shared=None) -> None:
+        self.recompile("synthesize", specs=specs, shared=shared)
 
     def refresh_slot(self, slot: str, reason: str = "segue") -> None:
         specs = dict(self.pipeline.specs)
@@ -467,9 +465,9 @@ class CompiledExecutor(_ExecutorBase):
     def on_update_config(self) -> None:
         self.recompile("update-config")
 
-    def recompile(self, reason: str, specs=None) -> None:
+    def recompile(self, reason: str, specs=None, shared=None) -> None:
         s = self.s
-        self.pipeline = pipe = compile_pipeline(s, specs=specs, reason=reason)
+        self.pipeline = pipe = compile_pipeline(s, specs, reason, shared)
         ctx = s.context
         self._conn = ctx.connection
         tx = ctx.transmission
@@ -641,7 +639,7 @@ class CompiledExecutor(_ExecutorBase):
         else:
             s.host.transmit(frame, extra_instructions=critical)
         if deferred > 0.0:
-            s.host.cpu.submit(deferred, noop)
+            s.host.cpu.charge(deferred)
 
     # -- receive path ----------------------------------------------------
     def handle_frame(self, pdu: PDU, frame: "_Frame") -> None:
@@ -661,7 +659,7 @@ class CompiledExecutor(_ExecutorBase):
         cpu = s.host.cpu
         cpu.submit(cost, self._process, pdu, frame)
         if deferred > 0.0:
-            cpu.submit(deferred, noop)
+            cpu.charge(deferred)
 
     def _process(self, pdu: PDU, frame: "_Frame") -> None:
         s = self.s

@@ -21,15 +21,26 @@ popped).  The churn delivery digest is the identity check; see
 ``tests/tko/test_genexec_identity.py``.
 
 Generated code objects are cached process-wide by *structural key* (the
-booleans that change the emitted source); per-session numeric constants
-bind through the factory's closure, so a thousand same-shaped sessions
-share one code object and pay only a closure construction each.
+booleans that change the emitted source).  Binding is two-stage: what is
+a function of (config signature, host ``CpuCosts``) — charge scalars,
+frame geometry, module constants — is bound once per compiled pipeline
+and rides on it (``CompiledPipeline.codegen``, shared through the
+template cache); what is per-session is bound **at first use**, per
+direction.  A session that never sends never pays for a send closure,
+and ``recompile`` only *invalidates* what is installed.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Tuple
 
+from repro.mechanisms.base import TransmissionControl
+from repro.mechanisms.detection import (
+    InternetChecksum, NoDetection, _ChecksumBase)
+from repro.mechanisms.retransmission import NoRecovery, _RetransmitBase
+from repro.mechanisms.transmission import (
+    NoTransmissionControl, RateControl, SlidingWindow, StopAndWait,
+    WindowRate)
 from repro.netsim.frame import Frame, _frame_ids
 from repro.tko.executor import CompiledExecutor, _msg_counter
 from repro.tko.interpreter import NETWORK_HEADER_BYTES
@@ -44,11 +55,10 @@ from repro.tko.pdu import (
     PduType,
 )
 from repro.tko.state import SendEntry
-from repro.tko.util import noop
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
-#: structural key -> exec-compiled factory; the process-wide codegen cache
-_FACTORY_CACHE: Dict[Tuple, Callable] = {}
+#: structural key -> compiled binder source; the process-wide codegen cache
+_FACTORY_CACHE: Dict[Tuple, Any] = {}
 
 #: stats a bench or test can read to prove the cache amortizes
 codegen_stats = {"rendered": 0, "factory_hits": 0, "installed": 0}
@@ -65,7 +75,7 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
     float arithmetic stays bit-identical.
 
     ``tx_kind`` / ``rec_kind`` / ``det_kind`` select mechanism-body
-    inlines; ``_install_generated`` only picks a non-"generic" kind after
+    inlines; ``_mechanism_kinds`` only picks a non-"generic" kind after
     proving (by method identity on the exact class) that the inline below
     is the code that would have run.
     """
@@ -178,31 +188,34 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
         "FSIZE + n + pdu.aux_size" if compact
         else "FSIZE + OPT * len(pdu.options) + n + pdu.aux_size"
     )
+    # -- what only the session can supply, read off its executor --------
+    mech_binds = {
+        "window-rate": "    rate_obj = exe._tx._rate\n",
+        "rate": "    rate_obj = exe._tx\n",
+    }.get(tx_kind, "")
+    if rec_kind == "retransmit":
+        mech_binds += "    rec_timer = exe._rec._timer; rtt = s.rtt\n"
+    if det_kind == "checksum":
+        mech_binds += "    det_compute = exe._det._compute\n"
     return f"""\
-def make_send(b):
-    exe = b['exe']; s = b['s']; sim = b['sim']; conn = b['conn']
-    compiled_send = b['compiled_send']; telemetry = b['telemetry']
-    pool_acquire = b['pool_acquire']; PDU = b['PDU']; DATA = b['DATA']
-    SendEntry = b['SendEntry']; Frame = b['Frame']; frame_ids = b['frame_ids']
-    TKOMessage = b['TKOMessage']; msg_counter = b['msg_counter']
-    msg_ids = b['msg_ids']; state = b['state']; state_track = b['state_track']
-    rec_on_send = b['rec_on_send']; tx_on_send = b['tx_on_send']
-    det_attach = b['det_attach']; frame_dst = b['frame_dst']
-    can_send = b['can_send']; send_gap = b['send_gap']; pb_fn = b['pb_fn']
-    cpu_submit = b['cpu_submit']; cpu_charge = b['cpu_charge']
-    net_send = b['net_send']; host = b['host']
-    exe_transmit = b['exe_transmit']; schedule_pump = b['schedule_pump']
-    noop = b['noop']; seg_cell = b['seg_cell']; seg_fn = b['seg_fn']
-    net = b['net']; seg_cached = b['seg_cached']
-    layers = b['layers']; fast_cell = b['fast_cell']
-    outstanding = b['outstanding']; WIN = b['WIN']; rate_obj = b['rate_obj']
-    rec_timer = b['rec_timer']; rtt = b['rtt']
-    det_compute = b['det_compute']; DET_PLACEMENT = b['DET_PLACEMENT']
-    SB = b['SB']; SPB = b['SPB']; SD = b['SD']; DF = b['DF']; DPB = b['DPB']
-    PRIORITY = b['PRIORITY']; FSIZE = b['FSIZE']; OPT = b['OPT']
-    CONN = b['CONN']; SP = b['SP']; DP = b['DP']; COMPACT = b['COMPACT']
-    INTERRUPT = b['INTERRUPT']; HOSTNAME = b['HOSTNAME']
-    meter = b['meter']; queue = b['queue']; stats = b['stats']
+def make_send(exe):
+    s = exe.s; sim = s.sim; conn = exe._conn; host = s.host
+    net = host.network; cpu = host.cpu
+    compiled_send = COMPILED_SEND.__get__(exe)
+    state = s.state; state_track = state.track
+    outstanding = state.outstanding; WIN = s.cfg.window
+    rec_on_send = exe._rec_on_send; tx_on_send = exe._tx_on_send
+    det_attach = exe._det_attach; frame_dst = exe._frame_dst
+    can_send = exe._tx_can_send; send_gap = exe._tx_send_gap
+    pb_fn = conn.piggyback_config
+    cpu_submit = cpu.submit; cpu_charge = cpu.charge; net_send = net.send
+    exe_transmit = exe.transmit; schedule_pump = exe._schedule_pump
+    seg_cell = [-1, 0]; seg_fn = s.segment_size
+    seg_cached = hasattr(net, 'topology_version')
+    layers = s.protocol.layers if s.protocol is not None else ()
+{mech_binds}    CONN = s.conn_id; SP = s.local_port; DP = s.remote_port
+    HOSTNAME = host.name; meter = s.copy_meter
+    queue = s._send_queue; stats = s.stats
 
     def generated_send(data):
         # anything the fast path does not specialize for takes the
@@ -227,7 +240,7 @@ def make_send(b):
             # mutable buffers take the compiled route (its ctor snapshots
             # them); wire-size bytes are wrapped below without a copy
             return compiled_send(data)
-        fast_cell[0] += 1
+        exe.fast_sends += 1
         msg_id = next(msg_counter)
         stats.msgs_sent += 1
         msg = TKOMessage.__new__(TKOMessage)  # inline ctor: bytes, n > 0
@@ -289,11 +302,9 @@ def _recv_source(recv_deferred: bool) -> str:
         if recv_deferred else ""
     )
     return f"""\
-def make_recv(b):
-    s = b['s']; process = b['process']; cpu_submit = b['cpu_submit']
-    cpu_charge = b['cpu_charge']; DATA = b['DATA']; PARITY = b['PARITY']
-    RBA = b['RBA']; RBU = b['RBU']; RPB = b['RPB']; RD = b['RD']
-    RDF = b['RDF']; RDPB = b['RDPB']; CA = b['CA']; CU = b['CU']
+def make_recv(exe):
+    s = exe.s; process = exe._process; cpu = s.host.cpu
+    cpu_submit = cpu.submit; cpu_charge = cpu.charge
 
     def generated_handle_frame(pdu, frame):
         if s._closed:
@@ -310,43 +321,67 @@ def make_recv(b):
 """
 
 
-def _factory(kind: str, key: Tuple, render: Callable[[], str]) -> Callable:
+def _factory(kind: str, key: Tuple, render: Callable[[], str],
+             ns: Dict[str, Any]) -> Callable:
+    """Define ``make_<kind>`` over ``ns`` and return it.
+
+    The code object is cached process-wide by structural key; ``ns`` —
+    one compiled pipeline's session-independent bindings — becomes the
+    globals of every closure the returned binder makes.  The binder takes
+    the executor and reads the per-session half off it.
+    """
     cache_key = (kind,) + key
-    factory = _FACTORY_CACHE.get(cache_key)
-    if factory is None:
-        src = render()
-        ns: Dict[str, Any] = {}
-        exec(compile(src, f"<genexec:{kind}{key}>", "exec"), ns)
-        factory = ns["make_send" if kind == "send" else "make_recv"]
-        _FACTORY_CACHE[cache_key] = factory
+    code = _FACTORY_CACHE.get(cache_key)
+    if code is None:
+        code = compile(render(), f"<genexec:{kind}{key}>", "exec")
+        _FACTORY_CACHE[cache_key] = code
         codegen_stats["rendered"] += 1
     else:
         codegen_stats["factory_hits"] += 1
-    return factory
+    exec(code, ns)
+    return ns["make_" + kind]
 
 
 class GeneratedExecutor(CompiledExecutor):
     """Compiled executor whose send/recv entry points are exec-generated.
 
-    ``recompile`` (prime, segue, update_config, repipeline) re-derives the
-    structural key, fetches or renders the factory, and installs fresh
-    closures as *instance attributes* — shadowing the compiled methods for
-    every caller that goes through ``session.executor.send`` /
-    ``.handle_frame``, while the compiled methods remain reachable as the
-    fallback and for every cold path.
+    ``send`` / ``handle_frame`` below run at a session's *first use* of
+    that direction: they bind the closure, install it as an *instance
+    attribute* — shadowing themselves for every later caller that goes
+    through ``session.executor.send`` / ``.handle_frame`` — and run it.
+    ``recompile`` (segue, update_config, repipeline) deletes the installed
+    attributes, so the next use binds afresh against the new pipeline.
+    The compiled methods stay reachable as the fallback and for every
+    cold path.
     """
 
     kind = "generated"
     pools_pdus = True
+    #: how many sends took the generated fast path (vs falling back);
+    #: the closures count on the instance, across invalidations
+    fast_sends = 0
 
-    def recompile(self, reason: str, specs=None) -> None:
-        super().recompile(reason, specs=specs)
-        self._install_generated()
+    def recompile(self, reason: str, specs=None, shared=None) -> None:
+        super().recompile(reason, specs=specs, shared=shared)
+        self.__dict__.pop("send", None)
+        self.__dict__.pop("handle_frame", None)
+
+    def send(self, data: bytes) -> int:
+        self.send = fn = self._codegen()[1](self)
+        codegen_stats["installed"] += 1
+        return fn(data)
+
+    def handle_frame(self, pdu: PDU, frame: Frame) -> None:
+        self.handle_frame = fn = self._codegen()[2](self)
+        codegen_stats["installed"] += 1
+        fn(pdu, frame)
 
     @property
-    def fast_sends(self) -> int:
-        """How many sends took the generated fast path (vs falling back)."""
-        return self._fast_cell[0]
+    def codegen_key(self) -> Tuple:
+        """Structural key of the send closure serving this session — the
+        template cache records it at warm time so diagnostics can tie a
+        cached configuration to the codegen shape serving it."""
+        return self._codegen()[0]
 
     # ------------------------------------------------------------------
     def _mechanism_kinds(self) -> Tuple[str, str, str]:
@@ -358,15 +393,6 @@ class GeneratedExecutor(CompiledExecutor):
         base implementation) — any user subclass or unknown mechanism
         falls back to calling through the prebound entry points.
         """
-        from repro.mechanisms.base import TransmissionControl
-        from repro.mechanisms.detection import (
-            InternetChecksum, NoDetection, _ChecksumBase)
-        from repro.mechanisms.retransmission import (
-            NoRecovery, _RetransmitBase)
-        from repro.mechanisms.transmission import (
-            NoTransmissionControl, RateControl, SlidingWindow, StopAndWait,
-            WindowRate)
-
         tx = self._tx
         tcls = type(tx)
         base_on_send = tcls.on_send is TransmissionControl.on_send
@@ -409,82 +435,45 @@ class GeneratedExecutor(CompiledExecutor):
             det_kind = "generic"
         return tx_kind, rec_kind, det_kind
 
-    def _install_generated(self) -> None:
-        s = self.s
-        if getattr(self, "_fast_cell", None) is None:
-            self._fast_cell = [0]  # survives recompiles; one per session
+    def _codegen(self) -> Tuple[Tuple, Callable, Callable]:
+        """``(structural key, make_send, make_recv)`` for this pipeline.
+
+        Derived once per :class:`CompiledPipeline` and parked on it: every
+        session a template stamps from that pipeline finds it there, and a
+        session that diverged (its ``recompile`` built a private pipeline)
+        derives its own.  Everything here is session-independent.
+        """
         pipe = self.pipeline
-        det = self._det
-        placement = getattr(det, "placement", None)
-        trailer = TRAILER_CHECKSUM_SIZE if placement == "trailer" else 0
-        compact = bool(s.cfg.compact_headers)
-        header = (COMPACT_HEADER_SIZE if compact else LEGACY_HEADER_BASE)
-        send_deferred = (pipe.send_def_fixed != 0.0
-                         or pipe.send_def_per_byte != 0.0)
-        recv_deferred = (pipe.recv_def_fixed != 0.0
-                         or pipe.recv_def_per_byte != 0.0)
-        track = pipe.track_outstanding
-        net = s.host.network
-        seg_cached = hasattr(net, "topology_version")
-        tx_kind, rec_kind, det_kind = self._mechanism_kinds()
-
-        #: the structural key of the installed send closure — the template
-        #: cache records this at warm time so diagnostics can tie a cached
-        #: configuration to the codegen shape serving it
-        self.codegen_key = (track, compact, send_deferred, seg_cached,
-                            tx_kind, rec_kind, det_kind)
-        send_factory = _factory(
-            "send", self.codegen_key,
-            lambda: _send_source(track, compact, send_deferred,
-                                 tx_kind, rec_kind, det_kind))
-        recv_factory = _factory(
-            "recv", (recv_deferred,),
-            lambda: _recv_source(recv_deferred))
-
-        bindings = {
-            "exe": self, "s": s, "sim": s.sim, "conn": self._conn,
-            "compiled_send": CompiledExecutor.send.__get__(self),
-            "telemetry": _TELEMETRY,
-            "pool_acquire": PDU_POOL.acquire, "PDU": PDU,
-            "DATA": PduType.DATA, "PARITY": PduType.PARITY,
-            "SendEntry": SendEntry, "Frame": Frame, "frame_ids": _frame_ids,
-            "TKOMessage": TKOMessage, "msg_counter": _msg_counter,
-            "msg_ids": _msg_ids, "state": s.state,
-            "state_track": s.state.track,
-            "rec_on_send": self._rec_on_send, "tx_on_send": self._tx_on_send,
-            "det_attach": self._det_attach, "frame_dst": self._frame_dst,
-            "can_send": self._tx_can_send, "send_gap": self._tx_send_gap,
-            "pb_fn": self._conn.piggyback_config,
-            "cpu_submit": s.host.cpu.submit, "cpu_charge": s.host.cpu.charge,
-            "net_send": net.send,
-            "host": s.host, "exe_transmit": self.transmit,
-            "schedule_pump": self._schedule_pump, "noop": noop,
-            "seg_cell": [-1, 0], "seg_fn": s.segment_size, "net": net,
-            "seg_cached": seg_cached,
-            "layers": s.protocol.layers if s.protocol is not None else (),
-            "fast_cell": self._fast_cell,
-            # mechanism-inline bindings (None when the kind is "generic";
-            # the rendered source for that kind never references them)
-            "outstanding": s.state.outstanding, "WIN": s.cfg.window,
-            "rate_obj": (self._tx._rate if tx_kind == "window-rate"
-                         else self._tx if tx_kind == "rate" else None),
-            "rec_timer": getattr(self._rec, "_timer", None),
-            "rtt": s.rtt,
-            "det_compute": getattr(self._det, "_compute", None),
-            "DET_PLACEMENT": getattr(self._det, "placement", None),
-            "process": self._process,
-            "FSIZE": header + trailer + NETWORK_HEADER_BYTES,
-            "OPT": LEGACY_OPTION_SIZE,
-            "CONN": s.conn_id, "SP": s.local_port, "DP": s.remote_port,
-            "COMPACT": compact, "INTERRUPT": s.host.cpu.costs.interrupt,
-            "HOSTNAME": s.host.name, "meter": s.copy_meter,
-            "queue": s._send_queue, "stats": s.stats,
-            # the closed-form charge scalars, folded by the pipeline itself
-            # (SB/SPB/SD/DF/DPB/PRIORITY + the recv/control family)
-            **pipe.charge_bindings(),
-        }
-        # instance attributes shadow the class methods for attribute
-        # lookups through session.executor.<name>
-        self.send = send_factory(bindings)
-        self.handle_frame = recv_factory(bindings)
-        codegen_stats["installed"] += 1
+        if pipe.codegen is None:
+            placement = getattr(self._det, "placement", None)
+            trailer = TRAILER_CHECKSUM_SIZE if placement == "trailer" else 0
+            compact = bool(self.s.cfg.compact_headers)
+            header = COMPACT_HEADER_SIZE if compact else LEGACY_HEADER_BASE
+            send_deferred = (pipe.send_def_fixed != 0.0
+                             or pipe.send_def_per_byte != 0.0)
+            recv_deferred = (pipe.recv_def_fixed != 0.0
+                             or pipe.recv_def_per_byte != 0.0)
+            key = (pipe.track_outstanding, compact, send_deferred,
+                   *self._mechanism_kinds())
+            ns = {
+                "COMPILED_SEND": CompiledExecutor.send,
+                "telemetry": _TELEMETRY, "pool_acquire": PDU_POOL.acquire,
+                "PDU": PDU, "DATA": PduType.DATA, "PARITY": PduType.PARITY,
+                "SendEntry": SendEntry, "Frame": Frame,
+                "frame_ids": _frame_ids, "TKOMessage": TKOMessage,
+                "msg_counter": _msg_counter, "msg_ids": _msg_ids,
+                "DET_PLACEMENT": placement,
+                "FSIZE": header + trailer + NETWORK_HEADER_BYTES,
+                "OPT": LEGACY_OPTION_SIZE, "COMPACT": compact,
+                "INTERRUPT": self.s.host.cpu.costs.interrupt,
+                # the closed-form charge scalars, folded by the pipeline
+                # itself (SB/SPB/SD/DF/DPB/PRIORITY + the recv/control family)
+                **pipe.charge_bindings(),
+            }
+            pipe.codegen = (
+                key,
+                _factory("send", key, lambda: _send_source(*key), ns),
+                _factory("recv", (recv_deferred,),
+                         lambda: _recv_source(recv_deferred), ns),
+            )
+        return pipe.codegen

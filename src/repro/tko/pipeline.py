@@ -43,10 +43,19 @@ _WINDOWED_TRANSMISSION = ("stop-and-wait", "sliding-window", "window-rate", "tcp
 
 
 class CompiledPipeline:
-    """Immutable product of compiling one session's mechanism stack."""
+    """Immutable product of compiling one mechanism stack for one host.
+
+    Every scalar is a function of (config signature, host ``CpuCosts``),
+    so a :class:`~repro.tko.templates.Template` keeps one pipeline per
+    cost table and every hit on that host shares it.  ``codegen`` is the
+    one slot filled later: the generated executor parks what it derives
+    from this pipeline there (structural key, closure factories with the
+    session-independent bindings applied), once, for every sharer.
+    """
 
     __slots__ = (
         "specs",
+        "codegen",
         "binding_factor",
         "send_base",
         "send_per_byte",
@@ -67,6 +76,7 @@ class CompiledPipeline:
 
     def __init__(self, session: "TKOSession", specs: Dict[str, "StageSpec"]) -> None:
         self.specs = dict(specs)
+        self.codegen = None
         cfg = session.cfg
         costs = session.host.cpu.costs
         factor = BINDING_FACTOR[cfg.binding]
@@ -165,12 +175,6 @@ class CompiledPipeline:
             "CA": self.control_aligned, "CU": self.control_unaligned,
         }
 
-    def respec(self, session: "TKOSession", slot: str) -> "CompiledPipeline":
-        """Recompile with only ``slot``'s stage re-derived (segue path)."""
-        specs = dict(self.specs)
-        specs[slot] = session.context.get(slot).compile_stage()
-        return CompiledPipeline(session, specs)
-
 
 def compile_stages(session: "TKOSession") -> Dict[str, "StageSpec"]:
     """Run every bound mechanism's compile hook (all nine slots)."""
@@ -180,33 +184,36 @@ def compile_stages(session: "TKOSession") -> Dict[str, "StageSpec"]:
     return {slot: ctx.get(slot).compile_stage() for slot in SLOTS}
 
 
+def _fold(session: "TKOSession", specs) -> CompiledPipeline:
+    return CompiledPipeline(
+        session, compile_stages(session) if specs is None else specs)
+
+
 def compile_pipeline(
     session: "TKOSession",
     specs: Optional[Dict[str, "StageSpec"]] = None,
     reason: str = "synthesize",
+    shared: Optional[CompiledPipeline] = None,
 ) -> CompiledPipeline:
-    """Compile ``session``'s mechanism stack, with UNITES accounting.
+    """The pipeline ``session`` runs, with UNITES accounting.
 
-    ``specs`` may come from a cached template (a pipeline-cache *hit*); the
-    scalars are still re-derived per session because they fold in binding
-    style and per-host CPU cost tables.  All telemetry (span, compile
-    counter, cache hit/miss counter, wall-time histogram) sits behind the
-    ``TELEMETRY.enabled`` guard so the disabled-telemetry overhead bound
-    holds.
+    ``shared`` is a template's finished pipeline for this host's cost
+    table: a hit compiles nothing and every sharer holds the same object.
+    ``specs`` alone is a template's stage table met under another cost
+    table (or a segue's re-spliced one): only the scalars are folded.
+    All telemetry (span, compile counter, cache hit/miss counter,
+    wall-time histogram) sits behind the ``TELEMETRY.enabled`` guard so
+    the disabled-telemetry overhead bound holds.
     """
     if not _TELEMETRY.enabled:
-        if specs is None:
-            specs = compile_stages(session)
-        return CompiledPipeline(session, specs)
+        return shared or _fold(session, specs)
 
-    cached = specs is not None
+    cached = shared is not None or specs is not None
     t0 = time.perf_counter()
     with _TELEMETRY.span(
         "pipeline:compile", "tko", conn=session.conn_id, reason=reason, cached=cached
     ):
-        if specs is None:
-            specs = compile_stages(session)
-        pipe = CompiledPipeline(session, specs)
+        pipe = shared or _fold(session, specs)
     m = _TELEMETRY.metrics
     m.counter(
         "pipeline_compiles_total",

@@ -53,7 +53,6 @@ from repro.tko.state import (
     SenderState,
     SessionStats,
 )
-from repro.tko.util import noop
 
 #: conservative transport-header allowance when deriving segment size
 _HEADER_ALLOWANCE = 32
@@ -77,6 +76,7 @@ class TKOSession:
         on_open_failed: Optional[Callable[[str], None]] = None,
         protocol: Optional[Any] = None,
         pipeline_specs: Optional[dict] = None,
+        shared_pipeline: Optional[Any] = None,
     ) -> None:
         self.host = host
         self.sim: Simulator = host.sim
@@ -100,7 +100,7 @@ class TKOSession:
         self.stats = SessionStats()
         self.stats.opened_at = self.sim.now
         self.timers = TimerWheel(self.sim)
-        self.rng = host.network.rng.stream(f"session:{host.name}:{conn_id}")
+        self._rng_name = f"session:{host.name}:{conn_id}"
         self.copy_meter = host.copy_meter
 
         #: observers notified of protocol events (UNITES tracing attaches
@@ -123,7 +123,7 @@ class TKOSession:
         #: bit-identical to it (reports, tests, and examples read it)
         self.cost_model = CostModel(self)
         context.bind(self)
-        self.executor.prime(pipeline_specs)
+        self.executor.prime(pipeline_specs, shared_pipeline)
         self._refresh_pooling()
 
     # ------------------------------------------------------------------
@@ -140,6 +140,16 @@ class TKOSession:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    @property
+    def rng(self):
+        """This session's random stream, made when first drawn from.
+
+        Stream identity is ``(root_seed, name)``, so creation time cannot
+        change the numbers; a session that never meets a corrupted frame
+        never builds a generator or grows the stream table.
+        """
+        return self.host.network.rng.stream(self._rng_name)
 
     def _notify(self, event: str, **details) -> None:
         if not self.observers:
@@ -280,7 +290,7 @@ class TKOSession:
         self.stats.reconfigurations += 1
         self._notify("segue", slot=slot, mechanism=replacement.name)
         # reconfiguration is not free: charge the rebinding bookkeeping
-        self.host.cpu.submit(2000.0, noop)
+        self.host.cpu.charge(2000.0)
         self.pump()
 
     def update_config(self, cfg: SessionConfig) -> None:
@@ -431,6 +441,7 @@ class TKOSession:
                 pdu.release()
         self._send_queue.clear()
         self.timers.cancel_all()
+        self.host.network.rng.discard(self._rng_name)
         if self._pump_event is not None:
             self.sim.cancel(self._pump_event)
             self._pump_event = None

@@ -28,7 +28,6 @@ from repro.tko.config import SessionConfig
 from repro.tko.context import SLOTS, TKOContext
 from repro.tko.session import TKOSession
 from repro.tko.templates import Template, TemplateCache
-from repro.tko.util import noop as _noop
 
 
 class TKOSynthesizer:
@@ -74,18 +73,21 @@ class TKOSynthesizer:
         the Figure 2 bench measures.
         """
         cost, hit = self.templates.instantiation_cost(cfg)
-        host.cpu.submit(cost, _noop)
+        host.cpu.charge(cost)
         if not hit:
             self.templates.store(cfg)
         # group sessions carry per-connection member state; never cache them
         cacheable = group is None and cfg.delivery != "multicast"
         template = self.templates.peek(cfg) if cacheable else None
+        shared = None
         if template is not None and template.plan is not None:
-            # compile-on-hit: *fresh* mechanism instances from the cached
+            # a hit stamps: *fresh* mechanism instances from the cached
             # recipe — sharing live mechanisms across sessions would let a
-            # later segue mutate the cached table under everyone
+            # later segue mutate the cached table under everyone — around
+            # the immutable artefacts compiled once for this cost table
             mechanisms = {slot: cls(**kwargs) for slot, cls, kwargs in template.plan}
             context = TKOContext(mechanisms)
+            shared = template.pipelines.get(host.cpu.costs)
         else:
             context = self.synthesize_context(cfg, group=group, members=members)
         session = TKOSession(
@@ -97,10 +99,11 @@ class TKOSynthesizer:
             remote_host,
             remote_port,
             pipeline_specs=template.specs if template is not None else None,
+            shared_pipeline=shared,
             **callbacks,
         )
         self.sessions_synthesized += 1
-        if template is not None:
+        if template is not None and shared is None:
             self._warm_template(template, cfg, session)
         for instrument in self.instruments:
             instrument(session)
@@ -108,15 +111,17 @@ class TKOSynthesizer:
 
     @staticmethod
     def _warm_template(template: Template, cfg: SessionConfig, session: TKOSession) -> None:
-        """Attach the build recipe and compiled stage table after first use."""
+        """Attach the build recipe and the compiled artefacts after the
+        first use on each cost table."""
         if template.plan is None:
             template.plan = tuple(
                 (slot, *mechanism_plan(slot, cfg)) for slot in SLOTS
             )
-        if template.specs is None:
-            pipe = getattr(session.executor, "pipeline", None)
-            if pipe is not None:
+        pipe = getattr(session.executor, "pipeline", None)
+        if pipe is not None:
+            if template.specs is None:
                 template.specs = dict(pipe.specs)
+            template.pipelines.setdefault(session.host.cpu.costs, pipe)
         if template.codegen is None:
             # which generated-closure shape serves this configuration —
             # a pure diagnostic linking the template cache to the codegen

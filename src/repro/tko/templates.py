@@ -18,7 +18,7 @@ instantiation path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.tko.config import SessionConfig
@@ -41,7 +41,12 @@ class Template:
     otherwise mutate the cached table under every later session), and
     ``specs`` is the compiled per-stage cost table
     (:class:`~repro.mechanisms.base.StageSpec` per slot), reused verbatim
-    because stage specs are immutable value objects.
+    because stage specs are immutable value objects.  ``pipelines`` holds
+    everything else that is a function of (signature, host ``CpuCosts``):
+    one finished :class:`~repro.tko.pipeline.CompiledPipeline` per cost
+    table, shared by every hit on such a host, with the generated
+    executor's structural key and pre-bound closure factories riding on
+    it — so a hit *stamps* a session: fresh mechanisms, shared artefacts.
     """
 
     signature: Tuple
@@ -54,6 +59,7 @@ class Template:
     #: structural key of the generated send closure serving this shape
     #: (diagnostic only — never part of the signature or the cost model)
     codegen: Optional[tuple] = None
+    pipelines: dict = field(default_factory=dict)  #: CpuCosts → pipeline
 
 
 class TemplateCache:

@@ -68,6 +68,30 @@ class TwoHosts:
 
 
 @pytest.fixture
+def cpu_spy(monkeypatch):
+    """Record every ``Cpu.submit`` callback name and every ``Cpu.charge``
+    amount, process-wide, for the duration of one test: ``(names,
+    charges)``.  Work nothing waits for must show up in the second list,
+    never in the first as a callback that does nothing."""
+    from repro.host.cpu import Cpu
+
+    names, charges = [], []
+    submit, charge = Cpu.submit, Cpu.charge
+
+    def spy_submit(self, instructions, fn, *args):
+        names.append(getattr(fn, "__name__", type(fn).__name__))
+        return submit(self, instructions, fn, *args)
+
+    def spy_charge(self, instructions):
+        charges.append(instructions)
+        return charge(self, instructions)
+
+    monkeypatch.setattr(Cpu, "submit", spy_submit)
+    monkeypatch.setattr(Cpu, "charge", spy_charge)
+    return names, charges
+
+
+@pytest.fixture
 def world():
     return TwoHosts()
 

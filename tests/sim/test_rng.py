@@ -28,6 +28,15 @@ class TestRngStreams:
         r.stream("s")
         assert "s" in r
 
+    def test_discard_forgets_one_stream_only(self):
+        r = RngStreams(3)
+        kept = r.stream("kept")
+        first = r.stream("gone").random(5)
+        r.discard("gone")
+        r.discard("never-made")  # idempotent
+        assert "gone" not in r and r.stream("kept") is kept
+        assert (r.stream("gone").random(5) == first).all()  # same name, same sequence
+
     def test_reset_restarts_sequences(self):
         r = RngStreams(3)
         first = r.stream("a").random(5)
