@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import pytest
 
+from tests.conftest import executors  # noqa: F401  (the shipped/oracle fixture)
+
 
 def record(benchmark, table: str, **extra) -> None:
     """Print a result table and attach it to the benchmark record."""

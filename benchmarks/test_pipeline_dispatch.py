@@ -9,8 +9,11 @@ transform, 512-byte messages at a 50 Hz conference tick):
 
 * **wall** — ``time.perf_counter`` around each ``session.send()`` call
   only (the simulator is advanced between sends, outside the timed
-  region).  ABAB-interleaved, minimum of N rounds per executor; the
-  compiled pipeline must cut wall time per send by at least 25%.
+  region).  ABAB-interleaved, minimum of N rounds per side: the oracle of
+  ``tests/oracles/`` against the shipped executor's *general* route
+  (``general_send`` called directly, so the rendered closure never runs
+  and ``fast_sends`` stays 0); the compiled pipeline must cut wall time
+  per send by at least 25%.
 * **simulated identity** — delivered message count/bytes, final sim
   clock, PDUs sent, retransmissions, and both hosts' retired instruction
   counters must be *bit-identical* across executors.  Compilation is a
@@ -27,7 +30,6 @@ from repro.mantts.tsc import APP_PROFILES
 from repro.netsim.profiles import ethernet_10, linear_path
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.tko.executor import use_executor
 from repro.tko.protocol import TKOProtocol
 from repro.unites.obs.telemetry import TELEMETRY
 from repro.unites.present import render_table
@@ -52,54 +54,53 @@ def _teleconference_config():
     return specify_scs(acd, lan).config
 
 
-def _run(kind, cfg):
-    """One conference run; (wall seconds per send, simulated identity)."""
-    use_executor(kind)
-    try:
-        sim = Simulator()
-        rng = RngStreams(5)
-        net = linear_path(sim, ethernet_10(), ("A", "B"), n_switches=2, rng=rng)
-        ha = Host(sim, net, "A", mips=25.0)
-        hb = Host(sim, net, "B", mips=25.0)
-        pa = TKOProtocol(ha)
-        pb = TKOProtocol(hb)
-        delivered = []
+def _run(cfg, general):
+    """One conference run; (wall seconds per send, simulated identity).
+    ``general`` times the executor's general route instead of ``send``."""
+    sim = Simulator()
+    rng = RngStreams(5)
+    net = linear_path(sim, ethernet_10(), ("A", "B"), n_switches=2, rng=rng)
+    ha = Host(sim, net, "A", mips=25.0)
+    hb = Host(sim, net, "B", mips=25.0)
+    pa = TKOProtocol(ha)
+    pb = TKOProtocol(hb)
+    delivered = []
 
-        def on_session(s):
-            s.on_deliver = lambda data, meta: delivered.append(len(data))
+    def on_session(s):
+        s.on_deliver = lambda data, meta: delivered.append(len(data))
 
-        pb.listen(7000, lambda pdu, frame: cfg, on_session)
-        sender = pa.create_session(cfg, "B", 7000)
-        sender.connect()
-        sim.run(until=0.05)
+    pb.listen(7000, lambda pdu, frame: cfg, on_session)
+    sender = pa.create_session(cfg, "B", 7000)
+    sender.connect()
+    sim.run(until=0.05)
 
-        msg = b"\xa5" * 512
-        perf = time.perf_counter
-        wall = 0.0
-        t = 0.05
-        for _ in range(MESSAGES):
-            t += SEND_INTERVAL
-            sim.run(until=t)
-            t0 = perf()
-            sender.send(msg)
-            wall += perf() - t0
-        sim.run(until=t + 2.0)
+    send = sender.executor.general_send if general else sender.executor.send
+    msg = b"\xa5" * 512
+    perf = time.perf_counter
+    wall = 0.0
+    t = 0.05
+    for _ in range(MESSAGES):
+        t += SEND_INTERVAL
+        sim.run(until=t)
+        t0 = perf()
+        send(msg)
+        wall += perf() - t0
+    sim.run(until=t + 2.0)
+    assert sender.executor.fast_sends == 0
 
-        identity = (
-            len(delivered),
-            sum(delivered),
-            sim.now,
-            sender.stats.pdus_sent,
-            sender.stats.retransmissions,
-            ha.cpu.instructions_retired,
-            hb.cpu.instructions_retired,
-        )
-        return wall / MESSAGES, identity
-    finally:
-        use_executor("compiled")
+    identity = (
+        len(delivered),
+        sum(delivered),
+        sim.now,
+        sender.stats.pdus_sent,
+        sender.stats.retransmissions,
+        ha.cpu.instructions_retired,
+        hb.cpu.instructions_retired,
+    )
+    return wall / MESSAGES, identity
 
 
-def test_compiled_pipeline_send_is_faster(benchmark):
+def test_compiled_pipeline_send_is_faster(benchmark, executors):
     TELEMETRY.disable()
     TELEMETRY.reset()
     cfg = _teleconference_config()
@@ -108,10 +109,11 @@ def test_compiled_pipeline_send_is_faster(benchmark):
         reference, compiled = [], []
         identities = set()
         for _ in range(ROUNDS):
-            w, ident = _run("reference", cfg)
+            with executors("oracle"):
+                w, ident = _run(cfg, general=False)
             reference.append(w)
             identities.add(ident)
-            w, ident = _run("compiled", cfg)
+            w, ident = _run(cfg, general=True)
             compiled.append(w)
             identities.add(ident)
         return min(reference), min(compiled), identities
@@ -121,7 +123,7 @@ def test_compiled_pipeline_send_is_faster(benchmark):
     rows = [
         {"executor": "reference (interpreted)", "us_per_send": ref * 1e6,
          "vs_reference": 1.0},
-        {"executor": "compiled pipeline", "us_per_send": comp * 1e6,
+        {"executor": "compiled pipeline (general route)", "us_per_send": comp * 1e6,
          "vs_reference": ratio},
     ]
     record(

@@ -75,7 +75,8 @@ def main() -> None:
     rows = [
         {"protocol function": k, "instructions/PDU": v}
         for k, v in sorted(
-            s.cost_model.breakdown(pdu).items(), key=lambda kv: -kv[1]
+            s.executor.pipeline.breakdown(pdu.data_size, pdu.compact).items(),
+            key=lambda kv: -kv[1]
         )
     ]
     print()

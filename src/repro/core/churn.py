@@ -12,8 +12,8 @@ deterministically reopens a third of the population once (churn).
 Everything is derived from the system seed and connection index, so one
 seed produces a bit-identical run: the receiver-side delivery digest,
 establishment/close counts, and peak concurrency are compared across
-repeated runs, across the three TKO executors, and against the frozen
-values in ``tests/golden.py``.
+repeated runs, under the executor and the test tree's oracle, and against
+the frozen values in ``tests/golden.py``.
 """
 
 from __future__ import annotations

@@ -203,7 +203,7 @@ def _segment_size(network: NetworkState, quant, recovery: str = "none") -> int:
     FEC configurations reserve headroom for the PARITY PDU's per-shard
     group metadata so repair units also fit the MTU."""
     from repro.mechanisms.fec import META_BYTES_PER_SHARD
-    from repro.tko.interpreter import NETWORK_HEADER_BYTES
+    from repro.tko.pipeline import NETWORK_HEADER_BYTES
 
     mtu = network.mtu if network.reachable and network.mtu else 1500
     headroom = 32

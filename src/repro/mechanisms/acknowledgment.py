@@ -134,7 +134,3 @@ class SelectiveAck(CumulativeAck):
         s.emit_pdu(ack)
         if ack.pooled:
             ack.release()
-
-    def recv_cost(self, pdu: PDU) -> float:
-        extra = 10.0 * len(pdu.sack) if pdu.sack else 0.0
-        return self.RECV_COST + extra

@@ -4,15 +4,16 @@ Every mechanism:
 
 * is **bound** to exactly one session (giving it access to shared session
   state, timers, and the host CPU cost table);
-* declares its **instruction costs** on the send and receive paths, which
-  the session interpreter sums into the per-PDU CPU charge;
+* declares its **instruction costs** on the send and receive paths, once,
+  in :meth:`Mechanism.compile_stage`; the pipeline compiler folds them
+  into the per-PDU CPU charge;
 * supports **segue** (§4.2.2): ``new.adopt(old)`` transfers whatever state
   must survive a run-time mechanism swap (e.g. the retransmission queue
   when switching go-back-N → selective repeat "without loss of data").
 
 The base class also counts how many dynamically-dispatched calls a PDU
 makes through each mechanism (``DISPATCH_SEND`` / ``DISPATCH_RECV``); the
-interpreter multiplies these by the binding style's indirection factor to
+pipeline multiplies these by the binding style's indirection factor to
 model the customization trade-off the paper takes from Synthesis/SELF.
 """
 
@@ -36,7 +37,7 @@ class StageSpec:
     ``Mechanism.compile_stage`` produces one of these at synthesis (and
     again for only the affected slot on segue).  The pipeline compiler
     folds the fixed parts into closed-form charges so the data path never
-    calls ``send_cost``/``recv_cost`` per PDU — the Synthesis/SELF move of
+    asks a mechanism what a PDU costs — the Synthesis/SELF move of
     §4.2.2: pay for flexibility at (re)configuration time, not per packet.
     """
 
@@ -126,15 +127,6 @@ class Mechanism(abc.ABC):
             dispatch_recv=self.DISPATCH_RECV,
             overlaps_tx=bool(getattr(self, "overlaps_tx", False)),
         )
-
-    # ------------------------------------------------------------------
-    def send_cost(self, pdu: "PDU") -> float:
-        """Instructions this mechanism adds to transmitting ``pdu``."""
-        return self.SEND_COST
-
-    def recv_cost(self, pdu: "PDU") -> float:
-        """Instructions this mechanism adds to receiving ``pdu``."""
-        return self.RECV_COST
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} ({self.category}:{self.name})>"

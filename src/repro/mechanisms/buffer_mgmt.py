@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import ClassVar
 
 from repro.mechanisms.base import Mechanism
-from repro.tko.pdu import PDU
 
 
 class BufferManagement(Mechanism):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.mechanisms.base import Delivery, StageSpec
-from repro.tko.pdu import PDU
 
 
 class UnicastDelivery(Delivery):
@@ -103,14 +102,11 @@ class MulticastDelivery(Delivery):
         got = self._acked.get(seq, set())
         return got >= self._required(seq)
 
-    def send_cost(self, pdu: PDU) -> float:
-        # ACK-state bookkeeping grows with the member count.
-        return self.SEND_COST + 5.0 * len(self._members)
-
     def compile_stage(self) -> StageSpec:
         return StageSpec(
             slot=self.category,
             name=self.name,
+            # ACK-state bookkeeping grows with the member count
             send_fixed=self.SEND_COST + 5.0 * len(self._members),
             send_per_byte=0.0,
             recv_fixed=self.RECV_COST,

@@ -64,12 +64,6 @@ class _ChecksumBase(ErrorDetection):
     def overlaps_tx(self) -> bool:  # type: ignore[override]
         return self.placement == "trailer"
 
-    def send_cost(self, pdu: PDU) -> float:
-        return self.SEND_COST + self.PER_BYTE * pdu.data_size
-
-    def recv_cost(self, pdu: PDU) -> float:
-        return self.RECV_COST + self.PER_BYTE * pdu.data_size
-
     def compile_stage(self) -> StageSpec:
         return StageSpec(
             slot=self.category,

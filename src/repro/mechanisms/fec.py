@@ -85,12 +85,6 @@ class _FecBase(ErrorRecovery):
     def r(self) -> int:
         return int(self._r or 1)
 
-    def send_cost(self, pdu: PDU) -> float:
-        return self.SEND_COST + self.PER_BYTE * pdu.data_size
-
-    def recv_cost(self, pdu: PDU) -> float:
-        return self.RECV_COST + self.PER_BYTE * pdu.data_size
-
     def compile_stage(self) -> StageSpec:
         return StageSpec(
             slot=self.category,

@@ -14,7 +14,7 @@ commonly requested SCSs (§4.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 CONNECTION_CHOICES = ("implicit", "explicit-2way", "explicit-3way")

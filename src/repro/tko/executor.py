@@ -1,447 +1,47 @@
-"""Session data-path executors: interpreted reference vs compiled pipeline.
+"""The session data path: one executor over the compiled pipeline.
 
-The tentpole of the pipeline-compilation refactor: ``TKOSession`` owns the
-association's *state* (addresses, windows, RTT, stats, lifecycle) while the
-per-PDU *hot path* lives in an executor chosen at session construction:
+``TKOSession`` owns the association's *state* (addresses, windows, RTT,
+stats, lifecycle); the per-PDU *hot path* lives in the
+:class:`CompiledExecutor` every session constructs.  It executes the
+:class:`~repro.tko.pipeline.CompiledPipeline`: closed-form per-PDU
+charges, mechanism entry points pre-bound at compile time (no dict/
+``__getattr__`` walk per PDU), telemetry behind ``TELEMETRY.enabled``
+guards, and free-listed DATA/ACK shells from
+:data:`repro.tko.pdu.PDU_POOL` when the configuration is pool-safe.
 
-* :class:`ReferenceExecutor` — the pre-compilation data path, verbatim: a
-  per-slot walk of the mechanism table through Python's attribute dispatch
-  with the :class:`~repro.tko.interpreter.CostModel` re-deriving every
-  PDU's CPU charge at run time.  Kept as the behavioural oracle and the
-  baseline that ``benchmarks/test_pipeline_dispatch.py`` measures against.
-* :class:`CompiledExecutor` — executes the
-  :class:`~repro.tko.pipeline.CompiledPipeline`: closed-form per-PDU
-  charges, mechanism entry points pre-bound at compile time (no dict/
-  ``__getattr__`` walk per PDU), telemetry behind ``TELEMETRY.enabled``
-  guards, and free-listed DATA/ACK shells from
-  :data:`repro.tko.pdu.PDU_POOL` when the configuration is pool-safe.
+There are two send routes and the code picks between them per call from
+what it observes.  ``send`` and ``handle_frame`` bind, at a session's
+first use of that direction, the closures :mod:`repro.tko.genexec`
+renders for the session's shape; the rendered send serves a wire-size
+``bytes`` payload on an idle, connected, unobserved session and hands
+everything else to :meth:`CompiledExecutor.general_send` before consuming
+any state.  Both routes perform the same operations in the same order, so
+simulated time is identical; only wall time differs — which is the
+paper's Synthesis/SELF point.
 
-Both executors produce **identical simulated time**: the compiled charge
-arithmetic is bit-exact against the interpreter (see
-:mod:`repro.tko.pipeline`), and every state transition is ported verbatim.
-Only wall time differs — which is the paper's Synthesis/SELF point.
+The behavioural oracle — a per-slot walk of the mechanism table that
+re-derives every PDU's charge from ``compile_stage()`` at run time —
+lives in ``tests/oracles/``; the test tree substitutes it for the one
+name :mod:`repro.tko.session` constructs.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
-from repro.netsim.frame import Frame, PRIO_CONTROL, PRIO_HIGH, PRIO_NORMAL
-from repro.tko.interpreter import NETWORK_HEADER_BYTES
+from repro.netsim.frame import Frame, PRIO_CONTROL
+from repro.tko.genexec import codegen, codegen_stats
 from repro.tko.message import TKOMessage
-from repro.tko.pdu import PDU, PduType
-from repro.tko.pipeline import compile_pipeline
+from repro.tko.pdu import PDU, PduType, _msg_counter
+from repro.tko.pipeline import NETWORK_HEADER_BYTES, compile_pipeline
 from repro.tko.state import SendEntry
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.netsim.frame import Frame as _Frame
     from repro.tko.session import TKOSession
 
-_msg_counter = itertools.count(1)
 
-EXECUTOR_KINDS = ("reference", "compiled", "generated")
-
-#: the kind new sessions get unless :func:`use_executor` overrides it
-DEFAULT_KIND = "generated"
-
-_EXECUTOR_KIND = DEFAULT_KIND
-
-
-def use_executor(kind: str) -> None:
-    """Select the executor for sessions constructed from now on."""
-    global _EXECUTOR_KIND
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(f"unknown executor kind {kind!r}; choose from {EXECUTOR_KINDS}")
-    _EXECUTOR_KIND = kind
-
-
-def current_executor() -> str:
-    return _EXECUTOR_KIND
-
-
-def build_executor(session: "TKOSession") -> "_ExecutorBase":
-    if _EXECUTOR_KIND == "generated":
-        from repro.tko.genexec import GeneratedExecutor  # avoid import cycle
-
-        return GeneratedExecutor(session)
-    cls = CompiledExecutor if _EXECUTOR_KIND == "compiled" else ReferenceExecutor
-    return cls(session)
-
-
-class _ExecutorBase:
-    """State-machine pieces shared by both executors (cold paths)."""
-
-    kind = ""
-    #: whether this executor's sessions may draw DATA/ACK shells from the pool
-    pools_pdus = False
-
-    def __init__(self, session: "TKOSession") -> None:
-        self.s = session
-
-    # -- lifecycle hooks -------------------------------------------------
-    def prime(self, specs=None, shared=None) -> None:
-        """Called once after the context is bound (a template's cached
-        stage specs and, on a hit, its finished pipeline for this host)."""
-
-    def refresh_slot(self, slot: str, reason: str = "segue") -> None:
-        """One mechanism was swapped; re-derive whatever depends on it."""
-
-    def on_update_config(self) -> None:
-        """The session's config object was replaced (parameter retune)."""
-
-    # -- shared cold-path machinery -------------------------------------
-    def _schedule_pump(self, delay: float) -> None:
-        s = self.s
-        if s._pump_event is not None and not s._pump_event.cancelled:
-            return
-        s._pump_event = s.sim.schedule(delay, self._pump_fire)
-
-    def _pump_fire(self) -> None:
-        self.s._pump_event = None
-        self.pump()
-
-    def _release_buffer(self, pdu: PDU) -> None:
-        s = self.s
-        buf = s._pdu_buffers.pop(pdu.id, None)
-        if buf is not None:
-            s.host.buffers.free(buf)
-
-    def retransmit_entry(self, entry: SendEntry) -> None:
-        s = self.s
-        if s._closed:
-            return
-        entry.retries += 1
-        entry.last_sent = s.sim.now
-        s.stats.retransmissions += 1
-        s._notify("retransmit", seq=entry.pdu.seq, retries=entry.retries)
-        clone = entry.pdu.retransmit_clone()
-        self.transmit(clone, False)
-
-    def finalize_ack(self, seq: int) -> None:
-        s = self.s
-        entry = s.state.release(seq)
-        if entry is None:
-            return
-        if entry.retries == 0:  # Karn's rule: clean samples only
-            s.rtt.update(s.sim.now - entry.first_sent)
-        else:
-            s.rtt.note_progress()
-        pdu = entry.pdu
-        if pdu.pooled:
-            pdu.release()  # the retransmission queue's (creator) reference
-        if s._drain_waiters:
-            s._check_drained()
-        s._maybe_finish_close()
-
-    def gap_timeout(self) -> None:
-        s = self.s
-        released = s.recv_window.skip_gap()
-        if released:
-            s.stats.gap_skips += 1
-        for pdu in released:
-            self._deliver_pdu(pdu)
-        if s.recv_window.buffer:
-            s._gap_timer.schedule(s.cfg.gap_timeout)
-
-    def _deliver_app(self, message: TKOMessage, first: PDU) -> None:
-        s = self.s
-        if s._closed:
-            return
-        data = message.materialize()  # the one app-boundary copy
-        costs = s.host.cpu.costs
-        s.host.cpu.charge(costs.per_byte_copy * len(data) + costs.context_switch)
-        latency = s.sim.now - first.timestamp if first.timestamp else 0.0
-        stats = s.stats
-        stats.msgs_delivered += 1
-        stats.data_bytes_delivered += len(data)
-        stats.record_latency(latency)
-        s._notify("deliver", msg_id=first.msg_id, nbytes=len(data), latency=latency)
-        if s.on_deliver is not None:
-            s.on_deliver(
-                data,
-                {
-                    "msg_id": first.msg_id,
-                    "sent_at": first.timestamp,
-                    "latency": latency,
-                    "reconstructed": bool(first.options.get("fec_reconstructed")),
-                },
-            )
-        if first.pooled:
-            first.release()  # held since reassembly for the meta fields above
-
-
-class ReferenceExecutor(_ExecutorBase):
-    """The retained pre-compilation data path (behavioural oracle).
-
-    Every method is the original ``TKOSession`` hot path with ``self``
-    replaced by ``self.s``: per-slot context lookups, run-time CostModel
-    charges, unconditional span entry on send.  Sessions running this
-    executor never draw from the PDU pool.
-    """
-
-    kind = "reference"
-    pools_pdus = False
-
-    # -- send path -------------------------------------------------------
-    def send(self, data: bytes) -> int:
-        s = self.s
-        if s._closed or s._closing:
-            raise RuntimeError("session is closed")
-        msg_id = next(_msg_counter)
-        with _TELEMETRY.span("session-send", "tko", msg_id=msg_id,
-                             nbytes=len(data), conn=s.conn_id):
-            s.stats.msgs_sent += 1
-            msg = TKOMessage(data, meter=s.copy_meter)
-            seg = s.segment_size()
-            total = msg.data_length
-            frag_count = max(1, -(-total // seg))
-            piggyback = s.context.connection.piggyback_config()
-            for i in range(frag_count):
-                part = msg.take(min(seg, msg.data_length)) if total else TKOMessage(b"", meter=s.copy_meter)
-                pdu = s.make_pdu(PduType.DATA)
-                pdu.seq = s.state.next_seq()
-                pdu.msg_id = msg_id
-                pdu.frag_index = i
-                pdu.frag_count = frag_count
-                pdu.message = part
-                if piggyback is not None:
-                    pdu.options["cfg"] = piggyback
-                    piggyback = None
-                s._send_queue.append(pdu)
-            self.pump()
-        return msg_id
-
-    def pump(self) -> None:
-        s = self.s
-        if s._closed or s._paused or not s.context.connection.connected:
-            return
-        tx = s.context.transmission
-        while s._send_queue and tx.can_send():
-            gap = tx.send_gap()
-            if gap > 0:
-                self._schedule_pump(gap)
-                return
-            pdu = s._send_queue.popleft()
-            self._send_data(pdu)
-        s._maybe_finish_close()
-
-    def _track_outstanding(self) -> bool:
-        s = self.s
-        return (
-            s.context.recovery.retransmits
-            or s.cfg.transmission
-            in ("stop-and-wait", "sliding-window", "window-rate", "tcp-aimd")
-        )
-
-    def _send_data(self, pdu: PDU) -> None:
-        s = self.s
-        pdu.timestamp = s.sim.now
-        if self._track_outstanding():
-            s.state.track(SendEntry(pdu, first_sent=s.sim.now, last_sent=s.sim.now))
-        recovery = s.context.recovery
-        if _TELEMETRY.enabled:
-            recovery.count_invoke("encode")
-            with recovery.invoke_span("encode"):
-                extras = list(recovery.on_send(pdu))
-            s.context.transmission.count_invoke("on_send")
-        else:
-            extras = list(recovery.on_send(pdu))
-        s.context.transmission.on_send(pdu)
-        self.transmit(pdu, control=False)
-        for extra in extras:
-            self.transmit(extra, control=False)
-
-    def transmit(self, pdu: PDU, control: bool) -> None:
-        s = self.s
-        if s._closed:
-            return
-        if _TELEMETRY.enabled:
-            s.context.detection.count_invoke("attach")
-        s.context.detection.attach(pdu)
-        if pdu.ptype is PduType.DATA:
-            critical, deferred = s.cost_model.send_charge(pdu)
-            dst = s.context.delivery.frame_dst()
-            priority = PRIO_HIGH if s.cfg.priority else PRIO_NORMAL
-            s.stats.data_bytes_sent += pdu.data_size
-        else:
-            critical = s.cost_model.control_charge(pdu)
-            deferred = 0.0
-            dst = s.remote_host
-            priority = PRIO_CONTROL if (control or pdu.is_control) else (
-                PRIO_HIGH if s.cfg.priority else PRIO_NORMAL
-            )
-        frame = Frame(
-            src=s.host.name,
-            dst=dst,
-            size=pdu.wire_size + NETWORK_HEADER_BYTES,
-            payload=pdu,
-            priority=priority,
-            created_at=s.sim.now,
-        )
-        s.stats.pdus_sent += 1
-        s.stats.wire_bytes_sent += frame.size
-        s._notify("pdu-sent", pdu=pdu, size=frame.size)
-        if s.protocol is not None:
-            # descend the protocol graph (any installed layers) to the NIC
-            s.protocol.egress(frame, extra_instructions=critical)
-        else:
-            s.host.transmit(frame, extra_instructions=critical)
-        if deferred > 0.0:
-            # trailer checksum: computed during serialization — CPU burns
-            # the cycles but the frame does not wait for them
-            s.host.cpu.charge(deferred)
-
-    # -- receive path ----------------------------------------------------
-    def handle_frame(self, pdu: PDU, frame: "_Frame") -> None:
-        s = self.s
-        if s._closed:
-            return
-        deferred = 0.0
-        if pdu.ptype in (PduType.DATA, PduType.PARITY):
-            cost, deferred = s.cost_model.recv_charge(pdu)
-        else:
-            cost = s.cost_model.control_charge(pdu)
-        s.host.cpu.submit(cost, self._process, pdu, frame)
-        if deferred > 0.0:
-            s.host.cpu.charge(deferred)
-
-    def _process(self, pdu: PDU, frame: "_Frame") -> None:
-        s = self.s
-        if s._closed:
-            return
-        s.stats.pdus_received += 1
-        s._notify("pdu-received", pdu=pdu, corrupted=frame.corrupted)
-        if _TELEMETRY.enabled:
-            s.context.detection.count_invoke("verify")
-        if not s.context.detection.verify(pdu, frame.corrupted):
-            s._notify("pdu-rejected", pdu=pdu)
-            pdu.discard()
-            return
-        t = pdu.ptype
-        if t is PduType.DATA:
-            self._handle_data(pdu)
-        elif t is PduType.ACK:
-            s._handle_ack(pdu, frame.src)
-        elif t is PduType.PARITY:
-            for rebuilt in s.context.recovery.on_receive_repair(pdu):
-                self._handle_data(rebuilt)
-            pdu.discard()  # the repair window copied the shard out
-        elif t is PduType.PROBE:
-            reply = s.make_pdu(PduType.PROBE_REPLY)
-            reply.timestamp = pdu.timestamp
-            s.emit_control(reply)
-        elif t in (PduType.CONFIG, PduType.CONFIG_ACK, PduType.PROBE_REPLY):
-            if s.on_signalling is not None:
-                s.on_signalling(pdu)
-        else:
-            s.context.connection.handle_control(pdu)
-
-    def _handle_data(self, pdu: PDU) -> None:
-        s = self.s
-        ctx = s.context
-        buf = s.host.buffers.alloc(max(1, pdu.wire_size))
-        if buf is None:
-            s.stats.buffer_drops += 1
-            pdu.discard()
-            return
-        s._pdu_buffers[pdu.id] = buf
-        ctx.recovery.note_data_received(pdu)
-        seqm = ctx.sequencing
-        deliverable, accepted, gap = s.recv_window.accept(
-            pdu,
-            accept_ooo=ctx.recovery.accept_out_of_order,
-            ordered=seqm.ordered,
-            dedup=seqm.dedup,
-        )
-        if gap:
-            ctx.ack.on_gap(pdu)
-            self._arm_gap_timer()
-        if accepted:
-            if _TELEMETRY.enabled:
-                ctx.ack.count_invoke("on_data")
-            ctx.ack.on_data(pdu)
-        else:
-            # discarded (GBN out-of-order / duplicate): release its buffer
-            self._release_buffer(pdu)
-            if not gap:
-                # stale duplicate below the window: the ACK that covered
-                # it was lost on the way back.  Re-acknowledge now (TCP's
-                # segment-below-window rule) or the sender retransmits a
-                # delivered PDU all the way to its give-up limit.
-                ctx.ack.on_gap(pdu)
-        for out in deliverable:
-            self._deliver_pdu(out)
-        # a data arrival can complete an FEC group whose parity came first
-        repair = getattr(ctx.recovery, "repair_opportunity", None)
-        if repair is not None:
-            for rebuilt in repair(pdu):
-                self._handle_data(rebuilt)
-        if not accepted:
-            pdu.discard()  # a rejected PDU's slab claim, dropped last
-
-    def _deliver_pdu(self, pdu: PDU) -> None:
-        s = self.s
-        frags = s.reassembler.add(pdu)
-        self._release_buffer(pdu)
-        if frags is None:
-            return
-        combined = TKOMessage((), meter=s.copy_meter)
-        for f in frags:
-            msg = f.message
-            if msg is not None:
-                combined.concat(msg)
-                # ``combined`` holds the bytes now: the fragment's own slab
-                # claim (a decoded PDU's receive lease) ends here
-                msg.release_payload()
-        first = frags[0]
-        if _TELEMETRY.enabled:
-            s.context.jitter.count_invoke("release_delay")
-        delay = s.context.jitter.release_delay(first)
-        if delay > 0:
-            s.sim.schedule(delay, self._deliver_app, combined, first)
-        else:
-            self._deliver_app(combined, first)
-
-    def handle_ack(self, pdu: PDU, from_host: str) -> None:
-        s = self.s
-        s.stats.acks_received += 1
-        ctx = s.context
-        if _TELEMETRY.enabled:
-            ctx.transmission.count_invoke("on_ack")
-            ctx.recovery.count_invoke("on_ack")
-        ctx.transmission.on_ack(pdu)
-        if pdu.ack is not None:
-            for seq in [q for q in s.state.outstanding if q < pdu.ack]:
-                if ctx.delivery.ack_complete(seq, from_host):
-                    self.finalize_ack(seq)
-        if s._closed:
-            # this ack completed a pending close (finalize_ack ->
-            # _maybe_finish_close tears the session down synchronously
-            # under non-blocking connection management); the mechanisms
-            # are unbound now, so the pdu has nothing left to drive
-            return
-        if pdu.sack:
-            destinations = set(ctx.delivery.destinations())
-            for seq in pdu.sack:
-                entry = s.state.outstanding.get(seq)
-                if entry is not None:
-                    entry.sacked_by.add(from_host)
-                    entry.sacked = entry.sacked_by >= destinations
-        ctx.recovery.on_ack(pdu, from_host)
-        self.pump()
-
-    def _arm_gap_timer(self) -> None:
-        s = self.s
-        ctx = s.context
-        if ctx.recovery.retransmits or not ctx.sequencing.ordered:
-            return
-        if not s._gap_timer.armed:
-            s._gap_timer.schedule(s.cfg.gap_timeout)
-
-
-class CompiledExecutor(_ExecutorBase):
+class CompiledExecutor:
     """Executes the compiled pipeline: flat stages, closed-form charges.
 
     ``recompile`` pre-binds every mechanism entry point the hot path needs
@@ -449,23 +49,31 @@ class CompiledExecutor(_ExecutorBase):
     slot access) and caches the pipeline's scalar charges.  Segue calls
     :meth:`refresh_slot`, which recompiles only the swapped stage's spec
     and re-splices — ``adopt()`` has already transferred mechanism state.
+
+    ``send`` / ``handle_frame`` below run at a session's *first use* of
+    that direction: they bind the rendered closure, install it as an
+    *instance attribute* — shadowing themselves for every later caller
+    that goes through ``session.executor.send`` / ``.handle_frame`` — and
+    run it.  ``recompile`` deletes the installed attributes, so the next
+    use binds afresh against the new pipeline.
     """
 
-    kind = "compiled"
+    #: whether this executor's sessions may draw DATA/ACK shells from the pool
     pools_pdus = True
+    #: how many sends the rendered closure served itself (vs handing to
+    #: :meth:`general_send`); counted on the instance, across invalidations
+    fast_sends = 0
 
-    def prime(self, specs=None, shared=None) -> None:
-        self.recompile("synthesize", specs=specs, shared=shared)
+    def __init__(self, session: "TKOSession") -> None:
+        self.s = session
 
-    def refresh_slot(self, slot: str, reason: str = "segue") -> None:
-        specs = dict(self.pipeline.specs)
-        specs[slot] = self.s.context.get(slot).compile_stage()
-        self.recompile(reason, specs=specs)
-
-    def on_update_config(self) -> None:
-        self.recompile("update-config")
-
+    # -- compilation -----------------------------------------------------
     def recompile(self, reason: str, specs=None, shared=None) -> None:
+        """(Re)build the pipeline and the prebound entry points.
+
+        ``specs`` is a template's cached stage table and ``shared`` its
+        finished pipeline for this host (see ``compile_pipeline``).
+        """
         s = self.s
         self.pipeline = pipe = compile_pipeline(s, specs, reason, shared)
         ctx = s.context
@@ -504,9 +112,35 @@ class CompiledExecutor(_ExecutorBase):
         self._jit = jit
         self._jit_delay = jit.release_delay
         self._track = pipe.track_outstanding
+        self.__dict__.pop("send", None)
+        self.__dict__.pop("handle_frame", None)
+
+    def refresh_slot(self, slot: str, reason: str = "segue") -> None:
+        """One mechanism was swapped; recompile that stage only."""
+        specs = dict(self.pipeline.specs)
+        specs[slot] = self.s.context.get(slot).compile_stage()
+        self.recompile(reason, specs=specs)
+
+    @property
+    def codegen_key(self) -> Tuple:
+        """Structural key of the send closure serving this session — the
+        template cache records it at warm time so diagnostics can tie a
+        cached configuration to the codegen shape serving it."""
+        return codegen(self)[0]
 
     # -- send path -------------------------------------------------------
     def send(self, data: bytes) -> int:
+        self.send = fn = codegen(self)[1](self)
+        codegen_stats["installed"] += 1
+        return fn(data)
+
+    def general_send(self, data: bytes) -> int:
+        """Send without specializing: any payload, any session state.
+
+        The rendered closure's guard falls back here; it fragments to the
+        path segment size, queues, and lets :meth:`pump` release PDUs as
+        transmission control allows.
+        """
         s = self.s
         if s._closed or s._closing:
             raise RuntimeError("session is closed")
@@ -574,6 +208,16 @@ class CompiledExecutor(_ExecutorBase):
         if s._closing:
             s._maybe_finish_close()
 
+    def _schedule_pump(self, delay: float) -> None:
+        s = self.s
+        if s._pump_event is not None and not s._pump_event.cancelled:
+            return
+        s._pump_event = s.sim.schedule(delay, self._pump_fire)
+
+    def _pump_fire(self) -> None:
+        self.s._pump_event = None
+        self.pump()
+
     def _send_data(self, pdu: PDU) -> None:
         s = self.s
         now = s.sim.now
@@ -635,33 +279,33 @@ class CompiledExecutor(_ExecutorBase):
         if s.observers:
             s._notify("pdu-sent", pdu=pdu, size=frame.size)
         if s.protocol is not None:
+            # descend the protocol graph (any installed layers) to the NIC
             s.protocol.egress(frame, extra_instructions=critical)
         else:
             s.host.transmit(frame, extra_instructions=critical)
         if deferred > 0.0:
+            # trailer checksum: computed during serialization — CPU burns
+            # the cycles but the frame does not wait for them
             s.host.cpu.charge(deferred)
 
-    # -- receive path ----------------------------------------------------
-    def handle_frame(self, pdu: PDU, frame: "_Frame") -> None:
+    def retransmit_entry(self, entry: SendEntry) -> None:
         s = self.s
         if s._closed:
             return
-        pipe = self.pipeline
-        t = pdu.ptype
-        if t is PduType.DATA or t is PduType.PARITY:
-            n = pdu.data_size
-            base = pipe.recv_base_aligned if pdu.compact else pipe.recv_base_unaligned
-            cost = base + pipe.recv_per_byte * n + pipe.recv_dispatch
-            deferred = pipe.recv_def_fixed + pipe.recv_def_per_byte * n
-        else:
-            cost = pipe.control_aligned if pdu.compact else pipe.control_unaligned
-            deferred = 0.0
-        cpu = s.host.cpu
-        cpu.submit(cost, self._process, pdu, frame)
-        if deferred > 0.0:
-            cpu.charge(deferred)
+        entry.retries += 1
+        entry.last_sent = s.sim.now
+        s.stats.retransmissions += 1
+        s._notify("retransmit", seq=entry.pdu.seq, retries=entry.retries)
+        clone = entry.pdu.retransmit_clone()
+        self.transmit(clone, False)
 
-    def _process(self, pdu: PDU, frame: "_Frame") -> None:
+    # -- receive path ----------------------------------------------------
+    def handle_frame(self, pdu: PDU, frame: Frame) -> None:
+        self.handle_frame = fn = codegen(self)[2](self)
+        codegen_stats["installed"] += 1
+        fn(pdu, frame)
+
+    def _process(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
         if s._closed:
             return
@@ -722,8 +366,10 @@ class CompiledExecutor(_ExecutorBase):
             # discarded (GBN out-of-order / duplicate): release its buffer
             self._release_buffer(pdu)
             if not gap:
-                # stale duplicate below the window: re-acknowledge (the
-                # mirror of the reference executor's below-window rule)
+                # stale duplicate below the window: the ACK that covered
+                # it was lost on the way back.  Re-acknowledge now (TCP's
+                # segment-below-window rule) or the sender retransmits a
+                # delivered PDU all the way to its give-up limit.
                 self._ack_on_gap(pdu)
         for out in deliverable:
             self._deliver_pdu(out)
@@ -735,6 +381,12 @@ class CompiledExecutor(_ExecutorBase):
                 self._handle_data(rebuilt)
         if not accepted:
             pdu.discard()  # wire ref of a rejected PDU, dropped last
+
+    def _release_buffer(self, pdu: PDU) -> None:
+        s = self.s
+        buf = s._pdu_buffers.pop(pdu.id, None)
+        if buf is not None:
+            s.host.buffers.free(buf)
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
@@ -761,6 +413,32 @@ class CompiledExecutor(_ExecutorBase):
             s.sim.schedule(delay, self._deliver_app, combined, first)
         else:
             self._deliver_app(combined, first)
+
+    def _deliver_app(self, message: TKOMessage, first: PDU) -> None:
+        s = self.s
+        if s._closed:
+            return
+        data = message.materialize()  # the one app-boundary copy
+        costs = s.host.cpu.costs
+        s.host.cpu.charge(costs.per_byte_copy * len(data) + costs.context_switch)
+        latency = s.sim.now - first.timestamp if first.timestamp else 0.0
+        stats = s.stats
+        stats.msgs_delivered += 1
+        stats.data_bytes_delivered += len(data)
+        stats.record_latency(latency)
+        s._notify("deliver", msg_id=first.msg_id, nbytes=len(data), latency=latency)
+        if s.on_deliver is not None:
+            s.on_deliver(
+                data,
+                {
+                    "msg_id": first.msg_id,
+                    "sent_at": first.timestamp,
+                    "latency": latency,
+                    "reconstructed": bool(first.options.get("fec_reconstructed")),
+                },
+            )
+        if first.pooled:
+            first.release()  # held since reassembly for the meta fields above
 
     def handle_ack(self, pdu: PDU, from_host: str) -> None:
         s = self.s
@@ -791,9 +469,35 @@ class CompiledExecutor(_ExecutorBase):
         self._rec_on_ack(pdu, from_host)
         self.pump()
 
+    def finalize_ack(self, seq: int) -> None:
+        s = self.s
+        entry = s.state.release(seq)
+        if entry is None:
+            return
+        if entry.retries == 0:  # Karn's rule: clean samples only
+            s.rtt.update(s.sim.now - entry.first_sent)
+        else:
+            s.rtt.note_progress()
+        pdu = entry.pdu
+        if pdu.pooled:
+            pdu.release()  # the retransmission queue's (creator) reference
+        if s._drain_waiters:
+            s._check_drained()
+        s._maybe_finish_close()
+
     def _arm_gap_timer(self) -> None:
         if self._retransmits or not self._ordered:
             return
         s = self.s
         if not s._gap_timer.armed:
+            s._gap_timer.schedule(s.cfg.gap_timeout)
+
+    def gap_timeout(self) -> None:
+        s = self.s
+        released = s.recv_window.skip_gap()
+        if released:
+            s.stats.gap_skips += 1
+        for pdu in released:
+            self._deliver_pdu(pdu)
+        if s.recv_window.buffer:
             s._gap_timer.schedule(s.cfg.gap_timeout)

@@ -1,8 +1,8 @@
-"""Per-session generated send/recv functions (the paper's customization,
+"""Per-session rendered send/recv functions (the paper's customization,
 taken to its end state).
 
-:class:`~repro.tko.executor.CompiledExecutor` flattened mechanism dispatch
-into prebound entry points driven by a generic method; this module goes
+:class:`~repro.tko.executor.CompiledExecutor` flattens mechanism dispatch
+into prebound entry points driven by generic methods; this module goes
 one step further and **emits Python source** for each session's hot path:
 stage bodies inlined into one function, the per-stage loop gone, and the
 compiled pipeline's charge scalars folded in as closure constants.  This
@@ -10,24 +10,23 @@ is the §4.2.2 "static template" idea — a protocol *guaranteed not to
 change* may be inline-expanded — applied dynamically: any structural
 change (segue, update_config, repipeline) simply regenerates the closure.
 
-Determinism contract: the generated fast path executes the *same
-operations in the same order* as ``CompiledExecutor`` (which is itself
-bit-identical to ``ReferenceExecutor``), and every situation the fast
-path does not specialize for — telemetry on, observers attached, a
-protocol graph below the session, multi-fragment messages, pause/close
-states, a non-empty send queue — falls back to the compiled path wholesale
+Determinism contract: the rendered send executes the *same operations in
+the same order* as the executor's ``general_send`` route, and every
+situation it does not specialize for — telemetry on, observers attached,
+a protocol graph below the session, multi-fragment messages, pause/close
+states, a non-empty send queue — falls back to that route wholesale
 *before* consuming any state (no message id drawn, no piggyback config
 popped).  The churn delivery digest is the identity check; see
 ``tests/tko/test_genexec_identity.py``.
 
-Generated code objects are cached process-wide by *structural key* (the
+Rendered code objects are cached process-wide by *structural key* (the
 booleans that change the emitted source).  Binding is two-stage: what is
 a function of (config signature, host ``CpuCosts``) — charge scalars,
 frame geometry, module constants — is bound once per compiled pipeline
 and rides on it (``CompiledPipeline.codegen``, shared through the
 template cache); what is per-session is bound **at first use**, per
-direction.  A session that never sends never pays for a send closure,
-and ``recompile`` only *invalidates* what is installed.
+direction, by the executor.  A session that never sends never pays for a
+send closure, and ``recompile`` only *invalidates* what is installed.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from repro.mechanisms.transmission import (
     NoTransmissionControl, RateControl, SlidingWindow, StopAndWait,
     WindowRate)
 from repro.netsim.frame import Frame, _frame_ids
-from repro.tko.executor import CompiledExecutor, _msg_counter
-from repro.tko.interpreter import NETWORK_HEADER_BYTES
 from repro.tko.message import TKOMessage, _msg_ids
 from repro.tko.pdu import (
     COMPACT_HEADER_SIZE,
@@ -53,7 +50,9 @@ from repro.tko.pdu import (
     PDU_POOL,
     TRAILER_CHECKSUM_SIZE,
     PduType,
+    _msg_counter,
 )
+from repro.tko.pipeline import NETWORK_HEADER_BYTES
 from repro.tko.state import SendEntry
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
@@ -69,8 +68,8 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
     """Render the fused single-fragment send function.
 
     Operation order is a faithful inline of ``CompiledExecutor``'s
-    ``_send_body`` → ``pump`` → ``_send_data`` → ``transmit`` →
-    ``Host.transmit`` chain for the specialized case; the charge
+    ``general_send`` → ``_send_body`` → ``pump`` → ``_send_data`` →
+    ``transmit`` → ``Host.transmit`` chain for the specialized case; the charge
     expressions keep the compiled pipeline's exact association order so
     float arithmetic stays bit-identical.
 
@@ -201,7 +200,7 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
 def make_send(exe):
     s = exe.s; sim = s.sim; conn = exe._conn; host = s.host
     net = host.network; cpu = host.cpu
-    compiled_send = COMPILED_SEND.__get__(exe)
+    general_send = exe.general_send
     state = s.state; state_track = state.track
     outstanding = state.outstanding; WIN = s.cfg.window
     rec_on_send = exe._rec_on_send; tx_on_send = exe._tx_on_send
@@ -219,14 +218,14 @@ def make_send(exe):
 
     def generated_send(data):
         # anything the fast path does not specialize for takes the
-        # compiled route, before any state is consumed
+        # general route, before any state is consumed
         if (telemetry.enabled or s.observers or layers
                 or s._paused or s._closing or s._closed
                 or not conn.connected or queue):
             # graph *layers* force the fallback; a bare protocol mux with
             # an empty graph egresses exactly like host.transmit, which
             # the fast path inlines below
-            return compiled_send(data)
+            return general_send(data)
         n = len(data)
         if seg_cached:
             tv = net.topology_version
@@ -237,9 +236,9 @@ def make_send(exe):
         else:
             seg = seg_fn()
         if data.__class__ is not bytes or not 0 < n <= seg:
-            # mutable buffers take the compiled route (its ctor snapshots
+            # mutable buffers take the general route (its ctor snapshots
             # them); wire-size bytes are wrapped below without a copy
-            return compiled_send(data)
+            return general_send(data)
         exe.fast_sends += 1
         msg_id = next(msg_counter)
         stats.msgs_sent += 1
@@ -291,8 +290,8 @@ def make_send(exe):
 
 
 def _recv_source(recv_deferred: bool) -> str:
-    """Render the specialized frame-receive charge function (a total
-    replacement — no fallback needed; ``_process`` stays compiled)."""
+    """Render the specialized frame-receive charge function (total: it
+    needs no fallback; ``_process`` is the executor's own method)."""
     deferred_block = (
         "            deferred = RDF + RDPB * n\n"
         "            if deferred > 0.0:\n"
@@ -342,138 +341,96 @@ def _factory(kind: str, key: Tuple, render: Callable[[], str],
     return ns["make_" + kind]
 
 
-class GeneratedExecutor(CompiledExecutor):
-    """Compiled executor whose send/recv entry points are exec-generated.
+def _mechanism_kinds(exe) -> Tuple[str, str, str]:
+    """Classify the executor's bound mechanisms for body inlining.
 
-    ``send`` / ``handle_frame`` below run at a session's *first use* of
-    that direction: they bind the closure, install it as an *instance
-    attribute* — shadowing themselves for every later caller that goes
-    through ``session.executor.send`` / ``.handle_frame`` — and run it.
-    ``recompile`` (segue, update_config, repipeline) deletes the installed
-    attributes, so the next use binds afresh against the new pipeline.
-    The compiled methods stay reachable as the fallback and for every
-    cold path.
+    A non-"generic" kind is claimed only for the *exact* class whose
+    method bodies the generated source reproduces (and, for hooks a
+    subclass could override, only when the bound method **is** the
+    base implementation) — any user subclass or unknown mechanism
+    falls back to calling through the prebound entry points.
     """
+    tx = exe._tx
+    tcls = type(tx)
+    base_on_send = tcls.on_send is TransmissionControl.on_send
+    if (tcls is WindowRate and type(tx._window) is SlidingWindow
+            and type(tx._rate) is RateControl):
+        tx_kind = "window-rate"
+    elif tcls is RateControl:
+        tx_kind = "rate"
+    elif tcls is NoTransmissionControl and base_on_send:
+        tx_kind = "none"
+    elif tcls is StopAndWait and base_on_send:
+        tx_kind = "stop-and-wait"
+    elif tcls is SlidingWindow and base_on_send:
+        tx_kind = "sliding-window"
+    else:
+        tx_kind = "generic"
 
-    kind = "generated"
-    pools_pdus = True
-    #: how many sends took the generated fast path (vs falling back);
-    #: the closures count on the instance, across invalidations
-    fast_sends = 0
+    rec = exe._rec
+    rcls = type(rec)
+    if (issubclass(rcls, _RetransmitBase)
+            and rcls.on_send is _RetransmitBase.on_send
+            and rcls._arm is _RetransmitBase._arm
+            and rec._timer is not None):
+        rec_kind = "retransmit"
+    elif rcls.on_send is NoRecovery.on_send:
+        rec_kind = "norecovery"
+    else:
+        rec_kind = "generic"
 
-    def recompile(self, reason: str, specs=None, shared=None) -> None:
-        super().recompile(reason, specs=specs, shared=shared)
-        self.__dict__.pop("send", None)
-        self.__dict__.pop("handle_frame", None)
+    det = exe._det
+    dcls = type(det)
+    if dcls is InternetChecksum:
+        det_kind = "internet"
+    elif (issubclass(dcls, _ChecksumBase)
+            and dcls.attach is _ChecksumBase.attach):
+        det_kind = "checksum"
+    elif dcls is NoDetection:
+        det_kind = "nodetect"
+    else:
+        det_kind = "generic"
+    return tx_kind, rec_kind, det_kind
 
-    def send(self, data: bytes) -> int:
-        self.send = fn = self._codegen()[1](self)
-        codegen_stats["installed"] += 1
-        return fn(data)
 
-    def handle_frame(self, pdu: PDU, frame: Frame) -> None:
-        self.handle_frame = fn = self._codegen()[2](self)
-        codegen_stats["installed"] += 1
-        fn(pdu, frame)
+def codegen(exe) -> Tuple[Tuple, Callable, Callable]:
+    """``(structural key, make_send, make_recv)`` for ``exe``'s pipeline.
 
-    @property
-    def codegen_key(self) -> Tuple:
-        """Structural key of the send closure serving this session — the
-        template cache records it at warm time so diagnostics can tie a
-        cached configuration to the codegen shape serving it."""
-        return self._codegen()[0]
-
-    # ------------------------------------------------------------------
-    def _mechanism_kinds(self) -> Tuple[str, str, str]:
-        """Classify the bound mechanisms for body inlining.
-
-        A non-"generic" kind is claimed only for the *exact* class whose
-        method bodies the generated source reproduces (and, for hooks a
-        subclass could override, only when the bound method **is** the
-        base implementation) — any user subclass or unknown mechanism
-        falls back to calling through the prebound entry points.
-        """
-        tx = self._tx
-        tcls = type(tx)
-        base_on_send = tcls.on_send is TransmissionControl.on_send
-        if (tcls is WindowRate and type(tx._window) is SlidingWindow
-                and type(tx._rate) is RateControl):
-            tx_kind = "window-rate"
-        elif tcls is RateControl:
-            tx_kind = "rate"
-        elif tcls is NoTransmissionControl and base_on_send:
-            tx_kind = "none"
-        elif tcls is StopAndWait and base_on_send:
-            tx_kind = "stop-and-wait"
-        elif tcls is SlidingWindow and base_on_send:
-            tx_kind = "sliding-window"
-        else:
-            tx_kind = "generic"
-
-        rec = self._rec
-        rcls = type(rec)
-        if (issubclass(rcls, _RetransmitBase)
-                and rcls.on_send is _RetransmitBase.on_send
-                and rcls._arm is _RetransmitBase._arm
-                and rec._timer is not None):
-            rec_kind = "retransmit"
-        elif rcls.on_send is NoRecovery.on_send:
-            rec_kind = "norecovery"
-        else:
-            rec_kind = "generic"
-
-        det = self._det
-        dcls = type(det)
-        if dcls is InternetChecksum:
-            det_kind = "internet"
-        elif (issubclass(dcls, _ChecksumBase)
-                and dcls.attach is _ChecksumBase.attach):
-            det_kind = "checksum"
-        elif dcls is NoDetection:
-            det_kind = "nodetect"
-        else:
-            det_kind = "generic"
-        return tx_kind, rec_kind, det_kind
-
-    def _codegen(self) -> Tuple[Tuple, Callable, Callable]:
-        """``(structural key, make_send, make_recv)`` for this pipeline.
-
-        Derived once per :class:`CompiledPipeline` and parked on it: every
-        session a template stamps from that pipeline finds it there, and a
-        session that diverged (its ``recompile`` built a private pipeline)
-        derives its own.  Everything here is session-independent.
-        """
-        pipe = self.pipeline
-        if pipe.codegen is None:
-            placement = getattr(self._det, "placement", None)
-            trailer = TRAILER_CHECKSUM_SIZE if placement == "trailer" else 0
-            compact = bool(self.s.cfg.compact_headers)
-            header = COMPACT_HEADER_SIZE if compact else LEGACY_HEADER_BASE
-            send_deferred = (pipe.send_def_fixed != 0.0
-                             or pipe.send_def_per_byte != 0.0)
-            recv_deferred = (pipe.recv_def_fixed != 0.0
-                             or pipe.recv_def_per_byte != 0.0)
-            key = (pipe.track_outstanding, compact, send_deferred,
-                   *self._mechanism_kinds())
-            ns = {
-                "COMPILED_SEND": CompiledExecutor.send,
-                "telemetry": _TELEMETRY, "pool_acquire": PDU_POOL.acquire,
-                "PDU": PDU, "DATA": PduType.DATA, "PARITY": PduType.PARITY,
-                "SendEntry": SendEntry, "Frame": Frame,
-                "frame_ids": _frame_ids, "TKOMessage": TKOMessage,
-                "msg_counter": _msg_counter, "msg_ids": _msg_ids,
-                "DET_PLACEMENT": placement,
-                "FSIZE": header + trailer + NETWORK_HEADER_BYTES,
-                "OPT": LEGACY_OPTION_SIZE, "COMPACT": compact,
-                "INTERRUPT": self.s.host.cpu.costs.interrupt,
-                # the closed-form charge scalars, folded by the pipeline
-                # itself (SB/SPB/SD/DF/DPB/PRIORITY + the recv/control family)
-                **pipe.charge_bindings(),
-            }
-            pipe.codegen = (
-                key,
-                _factory("send", key, lambda: _send_source(*key), ns),
-                _factory("recv", (recv_deferred,),
-                         lambda: _recv_source(recv_deferred), ns),
-            )
-        return pipe.codegen
+    Derived once per :class:`CompiledPipeline` and parked on it: every
+    session a template stamps from that pipeline finds it there, and a
+    session that diverged (its ``recompile`` built a private pipeline)
+    derives its own.  Everything here is session-independent.
+    """
+    pipe = exe.pipeline
+    if pipe.codegen is None:
+        placement = getattr(exe._det, "placement", None)
+        trailer = TRAILER_CHECKSUM_SIZE if placement == "trailer" else 0
+        compact = bool(exe.s.cfg.compact_headers)
+        header = COMPACT_HEADER_SIZE if compact else LEGACY_HEADER_BASE
+        send_deferred = (pipe.send_def_fixed != 0.0
+                         or pipe.send_def_per_byte != 0.0)
+        recv_deferred = (pipe.recv_def_fixed != 0.0
+                         or pipe.recv_def_per_byte != 0.0)
+        key = (pipe.track_outstanding, compact, send_deferred,
+               *_mechanism_kinds(exe))
+        ns = {
+            "telemetry": _TELEMETRY, "pool_acquire": PDU_POOL.acquire,
+            "PDU": PDU, "DATA": PduType.DATA, "PARITY": PduType.PARITY,
+            "SendEntry": SendEntry, "Frame": Frame,
+            "frame_ids": _frame_ids, "TKOMessage": TKOMessage,
+            "msg_counter": _msg_counter, "msg_ids": _msg_ids,
+            "DET_PLACEMENT": placement,
+            "FSIZE": header + trailer + NETWORK_HEADER_BYTES,
+            "OPT": LEGACY_OPTION_SIZE, "COMPACT": compact,
+            "INTERRUPT": exe.s.host.cpu.costs.interrupt,
+            # the closed-form charge scalars, folded by the pipeline
+            # itself (SB/SPB/SD/DF/DPB/PRIORITY + the recv/control family)
+            **pipe.charge_bindings(),
+        }
+        pipe.codegen = (
+            key,
+            _factory("send", key, lambda: _send_source(*key), ns),
+            _factory("recv", (recv_deferred,),
+                     lambda: _recv_source(recv_deferred), ns),
+        )
+    return pipe.codegen

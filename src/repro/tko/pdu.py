@@ -23,6 +23,10 @@ from repro.tko.message import Header, TKOMessage
 
 _pdu_ids = itertools.count(1)
 
+#: application message ids (the ``msg_id`` header field): one process-wide
+#: sequence, drawn once per ``send`` whichever route serves it
+_msg_counter = itertools.count(1)
+
 
 class PduType(enum.Enum):
     """Transport PDU types; control types ride the out-of-band channel."""

@@ -10,14 +10,31 @@ representation — the nine bound mechanisms flattened into
 * **closed-form per-PDU charges**: for each path a fixed base, a per-byte
   coefficient, and a dispatch-indirection term, so the executor computes
   ``base + per_byte * n + dispatch`` instead of walking the slot table
-  calling ``send_cost``/``recv_cost`` through dynamic dispatch.
+  through dynamic dispatch.
 
-The arithmetic is bit-identical to :class:`repro.tko.interpreter.CostModel`
-by construction: every mechanism fixed/per-byte cost is an exact multiple
-of 0.5 (their sum is exact in any order) and the single inexact operand —
-``dispatches * virtual_dispatch * binding_factor`` — is added last, exactly
-as the reference accumulates it.  Compiling therefore changes *wall* time
-only, never simulated time.
+A mechanism declares its cost once, in ``compile_stage()``; the protocol
+interpreter's *work* is modelled as those instruction counts charged to
+the host CPU, and the *binding style* models the customization trade-off
+of §4.2.2:
+
+* ``dynamic``   — a freshly synthesized configuration: every mechanism
+  call goes through the dispatch table (full virtual-call indirection);
+* ``reconfigurable`` — a cached reconfigurable template: bindings are
+  pre-resolved but still indirect enough to allow segue (reduced cost);
+* ``static``    — a fully customized template: calls are inline-expanded,
+  zero indirection — and segue is *impossible* (the template is
+  "guaranteed not to change"), which the session enforces.  Each static
+  template also carries a code-size estimate so the template cache can
+  report the "code bloat" cost of inline expansion that the paper borrows
+  from the Synthesis kernel discussion.
+
+The arithmetic is bit-identical to a per-PDU walk of the slot table (the
+oracle kept under ``tests/oracles/``) by construction: every mechanism
+fixed/per-byte cost is an exact multiple of 0.5 (their sum is exact in
+any order) and the single inexact operand — ``dispatches *
+virtual_dispatch * binding_factor`` — is added last, exactly as the walk
+accumulates it.  Compiling therefore changes *wall* time only, never
+simulated time.
 
 Recompilation is cheap and scoped: ``segue`` re-invokes ``compile_stage``
 for only the swapped slot and re-derives the scalars; a full recompile
@@ -30,12 +47,28 @@ import time
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.netsim.frame import PRIO_HIGH, PRIO_NORMAL
-from repro.tko.interpreter import BINDING_FACTOR, RECV_SLOTS, SEND_SLOTS
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mechanisms.base import StageSpec
     from repro.tko.session import TKOSession
+
+#: indirection multiplier per binding style (× virtual_dispatch cost)
+BINDING_FACTOR = {"dynamic": 1.0, "reconfigurable": 0.4, "static": 0.0}
+
+#: estimated machine-code bytes per inline-expanded mechanism (static only)
+CODE_BYTES_PER_MECHANISM = 1800
+
+#: network-layer encapsulation below the transport PDU, bytes
+NETWORK_HEADER_BYTES = 24
+
+#: context slots whose mechanisms touch every outgoing DATA PDU — this is
+#: also the compiled pipeline's send-stage order
+SEND_SLOTS = ("connection", "transmission", "detection", "recovery",
+              "sequencing", "delivery", "buffer")
+#: slots touching every incoming DATA PDU (receive-stage order)
+RECV_SLOTS = ("connection", "detection", "recovery", "sequencing",
+              "delivery", "jitter", "buffer")
 
 #: transmission mechanisms whose window accounting needs the sender state
 #: machine to track outstanding PDUs even when recovery never retransmits
@@ -48,14 +81,15 @@ class CompiledPipeline:
     Every scalar is a function of (config signature, host ``CpuCosts``),
     so a :class:`~repro.tko.templates.Template` keeps one pipeline per
     cost table and every hit on that host shares it.  ``codegen`` is the
-    one slot filled later: the generated executor parks what it derives
-    from this pipeline there (structural key, closure factories with the
-    session-independent bindings applied), once, for every sharer.
+    one slot filled later: :func:`repro.tko.genexec.codegen` parks what it
+    derives from this pipeline there (structural key, closure factories
+    with the session-independent bindings applied), once, for every sharer.
     """
 
     __slots__ = (
         "specs",
         "codegen",
+        "costs",
         "binding_factor",
         "send_base",
         "send_per_byte",
@@ -78,7 +112,7 @@ class CompiledPipeline:
         self.specs = dict(specs)
         self.codegen = None
         cfg = session.cfg
-        costs = session.host.cpu.costs
+        self.costs = costs = session.host.cpu.costs
         factor = BINDING_FACTOR[cfg.binding]
         self.binding_factor = factor
 
@@ -98,7 +132,7 @@ class CompiledPipeline:
             send_disp += spec.dispatch_send
         self.send_base = send_base
         self.send_per_byte = send_pb
-        # identical expression shape to the interpreter so float rounding
+        # identical expression shape to the oracle's walk so float rounding
         # matches bit-for-bit (left-assoc, factor multiplied last)
         self.send_dispatch = send_disp * costs.virtual_dispatch * factor
         self.send_def_fixed = send_def_fixed
@@ -157,13 +191,37 @@ class CompiledPipeline:
     def control_charge(self, compact: bool) -> float:
         return self.control_aligned if compact else self.control_unaligned
 
+    def breakdown(self, nbytes: int, compact: bool) -> Dict[str, float]:
+        """Per-mechanism instruction breakdown for one DATA PDU, both paths.
+
+        The paper's whitebox metric "the number of instructions required
+        to execute a protocol function" (§4.3), resolved per Figure 5
+        slot.  Keys are slot names plus ``os-fixed`` (layer bookkeeping +
+        header parse) and ``dispatch`` (binding indirection).
+        """
+        costs = self.costs
+        parse = costs.header_parse_aligned if compact else costs.header_parse_unaligned
+        out = {"os-fixed": 2.0 * costs.layer_fixed + parse}
+        dispatches = 0
+        for slot in dict.fromkeys(SEND_SLOTS + RECV_SLOTS):
+            spec = self.specs[slot]
+            total = 0.0
+            if slot in SEND_SLOTS:
+                total += spec.send_fixed + spec.send_per_byte * nbytes
+                dispatches += spec.dispatch_send
+            if slot in RECV_SLOTS:
+                total += spec.recv_fixed + spec.recv_per_byte * nbytes
+                dispatches += spec.dispatch_recv
+            out[slot] = total
+        out["dispatch"] = dispatches * costs.virtual_dispatch * self.binding_factor
+        return out
+
     def charge_bindings(self) -> Dict[str, object]:
         """The closed-form charge scalars as codegen closure bindings.
 
-        The generated executor (:mod:`repro.tko.genexec`) folds these
-        constants into its rendered send/recv closures; keeping the
-        name → scalar mapping here means the fold can never drift from
-        the charge expressions above.
+        :mod:`repro.tko.genexec` folds these constants into the rendered
+        send/recv closures; keeping the name → scalar mapping here means
+        the fold can never drift from the charge expressions above.
         """
         return {
             "SB": self.send_base, "SPB": self.send_per_byte,

@@ -10,10 +10,9 @@ run-time reconfiguration (:meth:`segue`) possible.
 
 The per-PDU data path itself lives in :mod:`repro.tko.executor`: a session
 holds the association state (send queue, windows, RTT, stats, lifecycle)
-and delegates send/receive processing to its executor — either the
-retained interpreted reference path or the compiled flat pipeline
-(:mod:`repro.tko.pipeline`).  This module keeps everything that is *state
-machine*, not *hot path*.
+and delegates send/receive processing to its executor, which runs the
+compiled flat pipeline (:mod:`repro.tko.pipeline`).  This module keeps
+everything that is *state machine*, not *hot path*.
 
 Send path:   app message → fragmentation → sequence assignment →
              transmission control gate → recovery bookkeeping (+FEC parity)
@@ -42,9 +41,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.timers import TimerWheel
 from repro.tko.config import SessionConfig
 from repro.tko.context import TKOContext
-from repro.tko.executor import build_executor
-from repro.tko.interpreter import NETWORK_HEADER_BYTES, CostModel
+from repro.tko.executor import CompiledExecutor
 from repro.tko.pdu import PDU, PDU_POOL, PduType
+from repro.tko.pipeline import NETWORK_HEADER_BYTES
 from repro.tko.state import (
     Reassembler,
     ReceiveWindow,
@@ -115,15 +114,12 @@ class TKOSession:
         self._pdu_buffers: Dict[int, Any] = {}
         self._pooling = False
 
-        self.executor = build_executor(self)
+        self.executor = CompiledExecutor(self)
         self._gap_timer = self.timers.timer(
             self.executor.gap_timeout, interval=cfg.gap_timeout
         )
-        #: retained run-time charge oracle; the compiled pipeline must stay
-        #: bit-identical to it (reports, tests, and examples read it)
-        self.cost_model = CostModel(self)
         context.bind(self)
-        self.executor.prime(pipeline_specs, shared_pipeline)
+        self.executor.recompile("synthesize", pipeline_specs, shared_pipeline)
         self._refresh_pooling()
 
     # ------------------------------------------------------------------
@@ -296,8 +292,7 @@ class TKOSession:
     def update_config(self, cfg: SessionConfig) -> None:
         """Install a revised parameter set (same mechanisms, new numbers)."""
         self.cfg = cfg
-        self.cost_model = CostModel(self)
-        self.executor.on_update_config()
+        self.executor.recompile("update-config")
         self._refresh_pooling()
 
     def repipeline(self, slot: str) -> None:

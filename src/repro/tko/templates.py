@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.tko.config import SessionConfig
-from repro.tko.interpreter import CODE_BYTES_PER_MECHANISM
+from repro.tko.pipeline import CODE_BYTES_PER_MECHANISM, SEND_SLOTS
 
 #: instantiation cost in instructions, by path
 SYNTH_COST_DYNAMIC = 20000.0      #: full synthesis from the repository
@@ -44,9 +44,9 @@ class Template:
     because stage specs are immutable value objects.  ``pipelines`` holds
     everything else that is a function of (signature, host ``CpuCosts``):
     one finished :class:`~repro.tko.pipeline.CompiledPipeline` per cost
-    table, shared by every hit on such a host, with the generated
-    executor's structural key and pre-bound closure factories riding on
-    it — so a hit *stamps* a session: fresh mechanisms, shared artefacts.
+    table, shared by every hit on such a host, with the rendered
+    closures' structural key and pre-bound factories riding on it — so a
+    hit *stamps* a session: fresh mechanisms, shared artefacts.
     """
 
     signature: Tuple
@@ -106,7 +106,7 @@ class TemplateCache:
             victim = min(self._cache.values(), key=lambda t: t.hits)
             del self._cache[victim.signature]
         kind = "static" if cfg.binding == "static" else "reconfigurable"
-        code = CODE_BYTES_PER_MECHANISM * 7 if kind == "static" else 0
+        code = CODE_BYTES_PER_MECHANISM * len(SEND_SLOTS) if kind == "static" else 0
         t = Template(signature=sig, kind=kind, code_bytes=code, created_for=created_for)
         self._cache[sig] = t
         return t

@@ -19,7 +19,7 @@ that loop in the style of ATM traffic-contract conformance monitoring:
   (:mod:`repro.unites.obs.flight`).
 
 Measurement semantics (all **sim-time**, never wall-clock, so verdicts
-are bit-identical across executors and manager modes):
+are bit-identical under the executor and the test tree's oracle):
 
 * *throughput* — application bytes delivered per window, checked only
   while the sender is actually offering load (bytes sent, a non-empty

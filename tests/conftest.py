@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 from hypothesis import settings
 
@@ -9,8 +11,10 @@ from repro.host.nic import Host
 from repro.netsim.profiles import ethernet_10, linear_path
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
+from repro.tko import session as session_module
 from repro.tko.config import SessionConfig
 from repro.tko.protocol import TKOProtocol
+from tests.oracles.reference import ReferenceExecutor
 
 #: ``--hypothesis-profile=ci``: a deeper, reproducible search for the CI
 #: jobs that run one property file; Tier-1 keeps Hypothesis' default budget
@@ -65,6 +69,30 @@ class TwoHosts:
             s.send(m)
         self.sim.run(until=until)
         return s
+
+
+#: what a world can run under: the executor ``TKOSession`` constructs, or
+#: the behavioural oracle of ``tests/oracles/`` substituted for it
+EXECUTORS = ("shipped", "oracle")
+
+
+@pytest.fixture
+def executors():
+    """``with executors(kind):`` — every session constructed inside the
+    block (receivers are built when their first frame arrives, so wrap the
+    run too) gets executor ``kind``.  The oracle is substituted for the
+    one name ``repro.tko.session`` constructs; pytest undoes the patch at
+    block exit, however the block ends."""
+
+    @contextlib.contextmanager
+    def under(kind: str):
+        assert kind in EXECUTORS, kind
+        with pytest.MonkeyPatch.context() as patch:
+            if kind == "oracle":
+                patch.setattr(session_module, "CompiledExecutor", ReferenceExecutor)
+            yield
+
+    return under
 
 
 @pytest.fixture

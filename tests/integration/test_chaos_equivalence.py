@@ -1,5 +1,5 @@
-"""Property test: under randomized fault schedules, the compiled pipeline
-and the reference interpreter still produce bit-identical simulated worlds.
+"""Property test: under randomized fault schedules, the shipped executor
+and the reference oracle still produce bit-identical simulated worlds.
 
 The compiler's contract (wall time only — see ``docs/pipelines.md``) must
 hold not just on clean runs but through link flaps, bandwidth collapses,
@@ -10,7 +10,6 @@ import pytest
 
 from repro.netsim.faults import FaultInjector, FaultSchedule
 from repro.tko.config import SessionConfig
-from repro.tko.executor import use_executor
 from tests.conftest import TwoHosts
 
 #: the undirected links of the TwoHosts linear path A-s1-s2-B
@@ -26,42 +25,40 @@ CONFIGS = {
 }
 
 
-def run_world(kind: str, seed: int, cfg: SessionConfig):
-    use_executor(kind)
-    try:
-        w = TwoHosts(seed=seed)
-        w.listen()
-        s = w.open(cfg)
-        for i in range(30):
-            s.send(b"c%02d" % i + b"z" * 700)
-        schedule = FaultSchedule.random(seed, LINKS, horizon=2.0, n_faults=6)
-        inj = FaultInjector(w.sim, w.net, schedule).arm()
-        w.sim.run(until=12.0)
-        return (
-            tuple(inj.trace),
-            len(w.delivered),
-            sum(len(data) for data, _ in w.delivered),
-            w.sim.now,
-            s.stats.pdus_sent,
-            s.stats.retransmissions,
-            w.ha.cpu.instructions_retired,
-            w.hb.cpu.instructions_retired,
-            tuple(
-                (link.stats.delivered, link.stats.dropped_overflow,
-                 link.stats.dropped_down, link.stats.corrupted)
-                for _, link in sorted(w.net.links.items())
-            ),
-        )
-    finally:
-        use_executor("compiled")
+def run_world(seed: int, cfg: SessionConfig):
+    w = TwoHosts(seed=seed)
+    w.listen()
+    s = w.open(cfg)
+    for i in range(30):
+        s.send(b"c%02d" % i + b"z" * 700)
+    schedule = FaultSchedule.random(seed, LINKS, horizon=2.0, n_faults=6)
+    inj = FaultInjector(w.sim, w.net, schedule).arm()
+    w.sim.run(until=12.0)
+    return (
+        tuple(inj.trace),
+        len(w.delivered),
+        sum(len(data) for data, _ in w.delivered),
+        w.sim.now,
+        s.stats.pdus_sent,
+        s.stats.retransmissions,
+        w.ha.cpu.instructions_retired,
+        w.hb.cpu.instructions_retired,
+        tuple(
+            (link.stats.delivered, link.stats.dropped_overflow,
+             link.stats.dropped_down, link.stats.corrupted)
+            for _, link in sorted(w.net.links.items())
+        ),
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
-def test_executors_bit_identical_under_chaos(seed):
+def test_executors_bit_identical_under_chaos(seed, executors):
     cfg = CONFIGS[list(CONFIGS)[seed % len(CONFIGS)]]
-    assert run_world("reference", seed, cfg) == run_world("compiled", seed, cfg)
+    with executors("oracle"):
+        oracle = run_world(seed, cfg)
+    assert oracle == run_world(seed, cfg)
 
 
 def test_chaos_run_is_repeatable_within_one_executor():
     cfg = CONFIGS["gbn"]
-    assert run_world("compiled", 9, cfg) == run_world("compiled", 9, cfg)
+    assert run_world(9, cfg) == run_world(9, cfg)

@@ -15,17 +15,23 @@ def fec_cfg(recovery="fec-xor", k=4, r=1, **kw):
     )
 
 
+def drop_frames(w, lost):
+    """Black-hole every frame ``lost(pdu)`` is true for as it enters the
+    network.  ``Network.send`` is where both send routes hand a frame over
+    (``Host.transmit`` is not: the rendered send closure inlines it), and
+    both read it no earlier than the first send — call this before that."""
+    original = w.net.send
+
+    def filtered(frame):
+        if not lost(frame.payload):
+            original(frame)
+
+    w.net.send = filtered
+
+
 def drop_data_seqs(w, seqs):
-    """Black-hole specific DATA sequence numbers at the sender's NIC."""
-    original = w.ha.transmit
-
-    def filtered(frame, extra_instructions=0.0):
-        pdu = frame.payload
-        if getattr(pdu, "ptype", None) is PduType.DATA and pdu.seq in seqs:
-            return  # lost
-        original(frame, extra_instructions)
-
-    w.ha.transmit = filtered
+    """Black-hole specific DATA sequence numbers."""
+    drop_frames(w, lambda pdu: pdu.ptype is PduType.DATA and pdu.seq in seqs)
 
 
 class TestXorGroups:
@@ -98,25 +104,21 @@ class TestRsGroups:
         w.listen(cfg)
         s = w.open(cfg)
         # drop one data PDU and one parity PDU: still recoverable (4 of 6)
-        original = w.ha.transmit
-        dropped = {"data": False, "parity": False}
+        dropped = set()
 
-        def filtered(frame, extra_instructions=0.0):
-            pdu = frame.payload
-            if getattr(pdu, "ptype", None) is PduType.DATA and pdu.seq == 1 \
-                    and not dropped["data"]:
-                dropped["data"] = True
-                return
-            if getattr(pdu, "ptype", None) is PduType.PARITY \
-                    and not dropped["parity"]:
-                dropped["parity"] = True
-                return
-            original(frame, extra_instructions)
+        def first_data_1_and_first_parity(pdu):
+            wanted = pdu.ptype is PduType.PARITY or (
+                pdu.ptype is PduType.DATA and pdu.seq == 1)
+            if not wanted or pdu.ptype in dropped:
+                return False
+            dropped.add(pdu.ptype)
+            return True
 
-        w.ha.transmit = filtered
+        drop_frames(w, first_data_1_and_first_parity)
         for i in range(4):
             s.send(bytes([i]) * 400)
         w.sim.run(until=3.0)
+        assert dropped == {PduType.DATA, PduType.PARITY}
         assert len(w.delivered) == 4
 
     def test_variable_size_payloads_roundtrip(self):

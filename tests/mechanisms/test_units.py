@@ -77,13 +77,13 @@ class TestDetection:
         assert s.stats.undetected_errors == 0
 
     def test_per_byte_cost_scales(self):
-        d = InternetChecksum()
-        small, big = data_pdu(b"x" * 10), data_pdu(b"x" * 1000)
-        assert d.send_cost(big) > d.send_cost(small)
+        spec = InternetChecksum().compile_stage()
+        assert spec.send_per_byte > 0.0 and spec.recv_per_byte > 0.0
 
     def test_crc_costlier_than_checksum(self):
-        p = data_pdu(b"x" * 1000)
-        assert Crc32().send_cost(p) > InternetChecksum().send_cost(p)
+        crc, internet = Crc32().compile_stage(), InternetChecksum().compile_stage()
+        assert crc.send_fixed >= internet.send_fixed
+        assert crc.send_per_byte > internet.send_per_byte
 
     def test_bad_placement_rejected(self):
         with pytest.raises(ValueError):
@@ -121,8 +121,7 @@ class TestDeliveryUnits:
     def test_send_cost_grows_with_members(self):
         small = MulticastDelivery("g", ["B"])
         big = MulticastDelivery("g", ["B", "C", "D", "E"])
-        p = data_pdu()
-        assert big.send_cost(p) > small.send_cost(p)
+        assert big.compile_stage().send_fixed > small.compile_stage().send_fixed
 
 
 class TestSequencingFlags:

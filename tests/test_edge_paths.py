@@ -117,4 +117,5 @@ class TestControlChargeLayouts:
         w.sim.run(until=0.5)
         compact = s.make_pdu(PduType.ACK)
         legacy = PDU(PduType.ACK, s.conn_id, compact=False)
-        assert s.cost_model.control_charge(legacy) > s.cost_model.control_charge(compact)
+        charge = s.executor.pipeline.control_charge
+        assert charge(legacy.compact) > charge(compact.compact)

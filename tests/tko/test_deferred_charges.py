@@ -3,8 +3,8 @@
 Deferred trailer-checksum charges, the app-boundary copy, instantiation
 and segue bookkeeping all occupy the host CPU without a follow-up: they go
 through ``Cpu.charge`` (``submit`` minus the heap event).  Before, seven
-sites pushed an event whose callback did nothing — and the generated
-executor already charged two of them, so the three executors disagreed on
+sites pushed an event whose callback did nothing — and the rendered
+closures already charged two of them, so the executors disagreed on
 event counts.  The frozen numbers below were read on ``32cb7ef`` (the
 parent of this change): CPU counters and the delivered bytes must not have
 moved, and the event count must be the old one minus those seven.
@@ -15,8 +15,7 @@ import hashlib
 import pytest
 
 from repro.tko.config import SessionConfig
-from repro.tko.executor import DEFAULT_KIND, EXECUTOR_KINDS, use_executor
-from tests.conftest import TwoHosts
+from tests.conftest import EXECUTORS, TwoHosts
 
 #: ``TwoHosts(seed=5)``, default SCS (trailer checksum), one 2,500-byte
 #: message = two fragments, then a graceful close — on ``32cb7ef``
@@ -30,20 +29,14 @@ PARENT = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _restore_executor():
-    yield
-    use_executor(DEFAULT_KIND)
-
-
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-def test_two_fragment_trailer_transfer_dispatches_no_noop(kind, cpu_spy):
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_two_fragment_trailer_transfer_dispatches_no_noop(kind, cpu_spy, executors):
     callbacks, charges = cpu_spy
-    use_executor(kind)
-    w = TwoHosts(seed=5)
-    sender = w.transfer(SessionConfig(), [b"\xa5" * 2500], until=5.0)
-    sender.close()
-    w.sim.run(until=10.0)
+    with executors(kind):
+        w = TwoHosts(seed=5)
+        sender = w.transfer(SessionConfig(), [b"\xa5" * 2500], until=5.0)
+        sender.close()
+        w.sim.run(until=10.0)
 
     assert "noop" not in callbacks
     assert len(charges) == PARENT["noop_completions"]
@@ -54,7 +47,7 @@ def test_two_fragment_trailer_transfer_dispatches_no_noop(kind, cpu_spy):
     assert w.hb.cpu.busy_time == PARENT["b_busy"]
     digest = hashlib.sha256(bytes(w.delivered[0][0])).hexdigest()
     assert digest.startswith(PARENT["delivered_sha256"])
-    # all three executors now agree, and on exactly the old count less
-    # the completions that did nothing
+    # both executors agree, and on exactly the old count less the
+    # completions that did nothing
     assert w.sim.events_dispatched == (
         PARENT["events"] - PARENT["noop_completions"])

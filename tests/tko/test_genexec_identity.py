@@ -1,20 +1,21 @@
-"""GeneratedExecutor: bit-identity, fast-path engagement, fallback contract.
+"""Rendered closures: bit-identity, fast-path engagement, fallback contract.
 
-The generated executor (``repro.tko.genexec``) renders one specialized
-send/recv closure per session shape and installs it over the compiled
-path.  Three families of guarantees:
+``repro.tko.genexec`` renders one specialized send/recv closure per
+session shape; the executor binds it at first use and its guard hands
+whatever it does not specialize for to ``general_send``.  Three families
+of guarantees:
 
-* **identity** — on the connection-churn workload the generated executor
-  produces the same delivery digest as ``ReferenceExecutor`` and
-  ``CompiledExecutor``, per seed, and all three reproduce the frozen
-  values in ``tests/golden.py``.
+* **identity** — on the connection-churn workload the shipped executor
+  produces the same delivery digest as the oracle, per seed, and both
+  reproduce the frozen values in ``tests/golden.py``.
 * **engagement** — on a shape it specializes for (teleconference SCS,
-  wire-size ``bytes`` payloads) every send takes the generated closure;
+  wire-size ``bytes`` payloads) every send takes the rendered closure;
   ``fast_sends`` counts them so identity checks cannot pass vacuously.
 * **fallback** — anything the fast path does not specialize for
   (telemetry on, observers attached, protocol-graph layers, mutable
-  buffers, multi-fragment messages) drops to the compiled path *before*
-  consuming any state, so behaviour stays bit-identical.
+  buffers, multi-fragment messages) drops to the general route *before*
+  consuming any state, so behaviour stays bit-identical.  The comparison
+  run calls ``general_send`` directly and must count no fast send.
 """
 
 from __future__ import annotations
@@ -27,18 +28,10 @@ from repro.mantts.monitor import NetworkState
 from repro.mantts.transform import specify_scs
 from repro.mantts.tsc import APP_PROFILES
 from repro.tko import genexec
-from repro.tko.executor import DEFAULT_KIND, EXECUTOR_KINDS, use_executor
 from repro.unites.obs.telemetry import TELEMETRY
 
 from tests import golden
-from tests.conftest import TwoHosts
-
-
-@pytest.fixture(autouse=True)
-def _default_executor():
-    """Every test leaves the process-wide executor selection restored."""
-    yield
-    use_executor(DEFAULT_KIND)
+from tests.conftest import EXECUTORS, TwoHosts
 
 
 def teleconference_config():
@@ -58,36 +51,34 @@ def teleconference_config():
     return specify_scs(acd, lan).config
 
 
-def conference_run(kind, cfg, payloads, mutate=None):
-    """Run one A→B conference under executor ``kind``; return
-    ``(identity tuple, fast_sends)``.  ``mutate(world, sender)`` runs
-    after connect, before the sends (for fallback-trigger setups)."""
-    use_executor(kind)
-    try:
-        w = TwoHosts(seed=5)
-        w.listen(cfg)
-        sender = w.open(cfg)
-        w.sim.run(until=0.05)
-        if mutate is not None:
-            mutate(w, sender)
-        t = 0.05
-        for data in payloads:
-            t += 0.02
-            w.sim.run(until=t)
-            sender.send(data)
-        w.sim.run(until=t + 2.0)
-        identity = (
-            len(w.delivered),
-            sum(len(d) for d, _ in w.delivered),
-            w.sim.now,
-            sender.stats.pdus_sent,
-            sender.stats.retransmissions,
-            w.ha.cpu.instructions_retired,
-            w.hb.cpu.instructions_retired,
-        )
-        return identity, getattr(sender.executor, "fast_sends", None)
-    finally:
-        use_executor(DEFAULT_KIND)
+def conference_run(cfg, payloads, mutate=None, general=False):
+    """Run one A→B conference; return ``(identity tuple, fast_sends)``.
+    ``mutate(world, sender)`` runs after connect, before the sends (for
+    fallback-trigger setups); ``general`` sends through the executor's
+    general route, never offering the rendered closure the payload."""
+    w = TwoHosts(seed=5)
+    w.listen(cfg)
+    sender = w.open(cfg)
+    w.sim.run(until=0.05)
+    if mutate is not None:
+        mutate(w, sender)
+    send = sender.executor.general_send if general else sender.send
+    t = 0.05
+    for data in payloads:
+        t += 0.02
+        w.sim.run(until=t)
+        send(data)
+    w.sim.run(until=t + 2.0)
+    identity = (
+        len(w.delivered),
+        sum(len(d) for d, _ in w.delivered),
+        w.sim.now,
+        sender.stats.pdus_sent,
+        sender.stats.retransmissions,
+        w.ha.cpu.instructions_retired,
+        w.hb.cpu.instructions_retired,
+    )
+    return identity, sender.executor.fast_sends
 
 
 class TestChurnIdentity:
@@ -97,10 +88,10 @@ class TestChurnIdentity:
     # a manager-mode axis, so test-history tooling still finds them
     @pytest.mark.parametrize(
         "seed", [pytest.param(s, id=f"coalesced-{s}") for s in (1, 2, 3)])
-    def test_executors_bit_identical(self, seed):
-        for kind in EXECUTOR_KINDS:
-            use_executor(kind)
-            ident = identity_fields(run_churn(40, seed=seed))
+    def test_executors_bit_identical(self, seed, executors):
+        for kind in EXECUTORS:
+            with executors(kind):
+                ident = identity_fields(run_churn(40, seed=seed))
             assert ident == golden.CHURN_40[seed], (
                 f"{kind} diverged from the golden run at seed {seed}"
             )
@@ -110,15 +101,15 @@ class TestFastPathEngagement:
     def test_wire_size_bytes_take_fast_path(self):
         cfg = teleconference_config()
         payloads = [b"\xa5" * 512] * 50
-        compiled, _ = conference_run("compiled", cfg, payloads)
-        generated, fast = conference_run("generated", cfg, payloads)
+        general, general_fast = conference_run(cfg, payloads, general=True)
+        rendered, fast = conference_run(cfg, payloads)
+        assert general_fast == 0
         assert fast == len(payloads), "every send must take the fast path"
-        assert generated == compiled
+        assert rendered == general
 
     def test_warm_template_records_codegen_shape(self):
         # the template cache's diagnostic linkage: a warmed template
         # remembers which generated-closure shape serves it
-        use_executor("generated")
         cfg = teleconference_config()
         w = TwoHosts(seed=5)
         w.listen(cfg)
@@ -132,9 +123,9 @@ class TestFastPathEngagement:
     def test_codegen_factory_is_shared_across_sessions(self):
         cfg = teleconference_config()
         before = dict(genexec.codegen_stats)
-        conference_run("generated", cfg, [b"x" * 64] * 3)
+        conference_run(cfg, [b"x" * 64] * 3)
         mid = dict(genexec.codegen_stats)
-        conference_run("generated", cfg, [b"x" * 64] * 3)
+        conference_run(cfg, [b"x" * 64] * 3)
         after = dict(genexec.codegen_stats)
         assert mid["installed"] > before["installed"]
         assert after["installed"] > mid["installed"]
@@ -148,14 +139,15 @@ class TestFallback:
 
     def _identical_with_fallback(self, payloads, mutate=None, engaged=0):
         cfg = teleconference_config()
-        compiled, _ = conference_run("compiled", cfg, payloads, mutate)
-        generated, fast = conference_run("generated", cfg, payloads, mutate)
+        general, general_fast = conference_run(cfg, payloads, mutate, general=True)
+        guarded, fast = conference_run(cfg, payloads, mutate)
+        assert general_fast == 0
         assert fast == engaged
-        assert generated == compiled
+        assert guarded == general
 
     def test_bytearray_payload_falls_back(self):
-        # mutable buffers: the compiled ctor snapshots them, the fast
-        # path would alias them
+        # mutable buffers: the general route's ctor snapshots them, the
+        # fast path would alias them
         self._identical_with_fallback([bytearray(b"\xa5" * 256)] * 20)
 
     def test_multi_fragment_message_falls_back(self):
@@ -174,7 +166,7 @@ class TestFallback:
         payloads = [b"\xa5" * 256] * 20
         try:
             TELEMETRY.enable()
-            _, fast = conference_run("generated", cfg, payloads)
+            _, fast = conference_run(cfg, payloads)
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
@@ -182,7 +174,7 @@ class TestFallback:
 
     def test_mixed_traffic_splits_between_paths(self):
         # alternating wire-size bytes and mutable buffers: only the
-        # former engage, and the stream stays identical to compiled
+        # former engage, and the stream stays identical to the general route
         payloads = []
         for i in range(20):
             payloads.append(b"\xa5" * 256 if i % 2 == 0 else bytearray(b"\x5a" * 256))

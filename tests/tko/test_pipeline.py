@@ -3,13 +3,12 @@
 The pipeline compiler's contract (§4.2.2, Synthesis/SELF) is that
 compilation changes *wall* time only:
 
-* the closed-form per-PDU charges must equal the interpreter's
-  :class:`~repro.tko.interpreter.CostModel` bit for bit;
+* the closed-form per-PDU charges must equal the oracle's per-PDU walk
+  (:class:`tests.oracles.reference.CostModel`) bit for bit;
 * a cached template hands out fresh mechanism instances per hit — a segue
   on one session must never mutate the cached table under another;
 * pooled PDU shells are an executor-private optimisation that never leaks
-  into configurations that retain payload references (FEC) or into the
-  reference executor.
+  into configurations that retain payload references (FEC).
 """
 
 import pytest
@@ -18,10 +17,10 @@ from repro.mechanisms.fec import FecXor
 from repro.mechanisms.retransmission import GoBackN, SelectiveRepeat
 from repro.mechanisms.acknowledgment import SelectiveAck
 from repro.tko.config import SessionConfig
-from repro.tko.executor import use_executor
 from repro.tko.message import TKOMessage
 from repro.tko.pdu import PDU_POOL, PduType
-from tests.conftest import TwoHosts
+from tests.conftest import EXECUTORS, TwoHosts
+from tests.oracles.reference import CostModel
 
 CONFIGS = {
     "default": SessionConfig(),
@@ -42,22 +41,22 @@ CONFIGS = {
 
 
 class TestChargeEquality:
-    """Closed-form scalars vs the interpreted CostModel: exact equality."""
+    """Closed-form scalars vs the oracle's live walk: exact equality."""
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_closed_form_matches_cost_model(self, name):
         cfg = CONFIGS[name]
         w = TwoHosts()
         s = w.pa.create_session(cfg, "B", 7000)
-        pipe = s.executor.pipeline
+        pipe, walk = s.executor.pipeline, CostModel(s)
         for nbytes in (0, 1, 137, 1453):
             pdu = s.make_pdu(PduType.DATA)
             if nbytes:
                 pdu.message = TKOMessage(b"x" * nbytes)
-            assert pipe.send_charge(pdu.data_size) == s.cost_model.send_charge(pdu)
-            assert pipe.recv_charge(pdu.data_size, pdu.compact) == s.cost_model.recv_charge(pdu)
+            assert pipe.send_charge(pdu.data_size) == walk.send_charge(pdu)
+            assert pipe.recv_charge(pdu.data_size, pdu.compact) == walk.recv_charge(pdu)
         ack = s.make_pdu(PduType.ACK)
-        assert pipe.control_charge(ack.compact) == s.cost_model.control_charge(ack)
+        assert pipe.control_charge(ack.compact) == walk.control_charge(ack)
 
     def test_segue_recompiles_only_the_swapped_slot(self):
         w = TwoHosts()
@@ -69,10 +68,10 @@ class TestChargeEquality:
         for slot, spec in before.items():
             if slot != "recovery":
                 assert after[slot] == spec
-        # and the recompiled scalars still agree with the interpreter
+        # and the recompiled scalars still agree with the walk
         pdu = s.make_pdu(PduType.DATA)
         pdu.message = TKOMessage(b"y" * 512)
-        assert s.executor.pipeline.send_charge(512) == s.cost_model.send_charge(pdu)
+        assert s.executor.pipeline.send_charge(512) == CostModel(s).send_charge(pdu)
 
 
 class TestTemplateCacheIsolation:
@@ -124,16 +123,6 @@ class TestPduPool:
         assert len(w.delivered) == 12
         assert PDU_POOL.reused > before
 
-    def test_reference_executor_never_pools(self):
-        use_executor("reference")
-        try:
-            w = TwoHosts()
-            s = w.pa.create_session(SessionConfig(), "B", 7000)
-            assert not s._pooling
-            assert s.make_pdu(PduType.DATA).pooled is False
-        finally:
-            use_executor("compiled")
-
     def test_fec_sessions_are_not_pool_eligible(self):
         w = TwoHosts()
         s = w.pa.create_session(CONFIGS["fec-playout"], "B", 7000)
@@ -160,28 +149,25 @@ class TestPduPool:
 
 
 class TestExecutorEquivalence:
-    """Reference and compiled paths produce the same simulated world."""
+    """The oracle and the shipped executor produce the same simulated world."""
 
     @pytest.mark.parametrize(
         "name", ["default", "sr-selective", "legacy-headers", "fec-playout", "static"]
     )
-    def test_same_simulated_world(self, name):
+    def test_same_simulated_world(self, name, executors):
         cfg = CONFIGS[name]
         outcomes = {}
-        for kind in ("reference", "compiled"):
-            use_executor(kind)
-            try:
+        for kind in EXECUTORS:
+            with executors(kind):
                 w = TwoHosts(seed=7)
                 s = w.transfer(cfg, [b"m" * 900] * 10, until=8.0)
-                outcomes[kind] = (
-                    len(w.delivered),
-                    sum(len(data) for data, _ in w.delivered),
-                    w.sim.now,
-                    s.stats.pdus_sent,
-                    s.stats.retransmissions,
-                    w.ha.cpu.instructions_retired,
-                    w.hb.cpu.instructions_retired,
-                )
-            finally:
-                use_executor("compiled")
-        assert outcomes["reference"] == outcomes["compiled"]
+            outcomes[kind] = (
+                len(w.delivered),
+                sum(len(data) for data, _ in w.delivered),
+                w.sim.now,
+                s.stats.pdus_sent,
+                s.stats.retransmissions,
+                w.ha.cpu.instructions_retired,
+                w.hb.cpu.instructions_retired,
+            )
+        assert outcomes["oracle"] == outcomes["shipped"]

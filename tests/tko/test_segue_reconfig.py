@@ -6,8 +6,7 @@ from repro.mechanisms.acknowledgment import SelectiveAck
 from repro.mechanisms.retransmission import SelectiveRepeat
 from repro.netsim.profiles import ethernet_10
 from repro.tko.config import SessionConfig
-from repro.tko.executor import use_executor
-from tests.conftest import TwoHosts
+from tests.conftest import EXECUTORS, TwoHosts
 
 
 def symmetric_segue(w, slot_pairs):
@@ -73,37 +72,34 @@ class TestSegue:
 class TestSegueUnderCompiledPipeline:
     """A mid-transfer GBN→SR swap must stay loss-free whichever executor
     runs the data path, and the compiled pipeline must agree with the
-    retained reference path event for event."""
+    reference oracle event for event."""
 
-    def _gbn_to_sr_run(self, kind, ber=0.0, seed=0):
-        use_executor(kind)
-        try:
-            w = TwoHosts(profile=ethernet_10().scaled(ber=ber), seed=seed)
-            w.listen()
-            s = w.open(SessionConfig())
-            for _ in range(8):
-                s.send(b"a" * 1000)
-            observed = {}
+    def _gbn_to_sr_run(self, ber=0.0, seed=0):
+        w = TwoHosts(profile=ethernet_10().scaled(ber=ber), seed=seed)
+        w.listen()
+        s = w.open(SessionConfig())
+        for _ in range(8):
+            s.send(b"a" * 1000)
+        observed = {}
 
-            def swap():
-                observed["before"] = s.state.outstanding_count()
-                for sess in (s, w.rx_sessions[0]):
-                    sess.segue("recovery", SelectiveRepeat())
-                    sess.segue("ack", SelectiveAck())
-                observed["after"] = s.state.outstanding_count()
+        def swap():
+            observed["before"] = s.state.outstanding_count()
+            for sess in (s, w.rx_sessions[0]):
+                sess.segue("recovery", SelectiveRepeat())
+                sess.segue("ack", SelectiveAck())
+            observed["after"] = s.state.outstanding_count()
 
-            w.sim.schedule(0.005, swap)
-            w.sim.run(until=0.5)
-            for _ in range(8):
-                s.send(b"b" * 1000)
-            w.sim.run(until=10.0)
-            return w, s, observed
-        finally:
-            use_executor("compiled")
+        w.sim.schedule(0.005, swap)
+        w.sim.run(until=0.5)
+        for _ in range(8):
+            s.send(b"b" * 1000)
+        w.sim.run(until=10.0)
+        return w, s, observed
 
-    @pytest.mark.parametrize("kind", ["reference", "compiled"])
-    def test_swap_mid_transfer_delivers_every_byte(self, kind):
-        w, s, observed = self._gbn_to_sr_run(kind)
+    @pytest.mark.parametrize("kind", EXECUTORS)
+    def test_swap_mid_transfer_delivers_every_byte(self, kind, executors):
+        with executors(kind):
+            w, s, observed = self._gbn_to_sr_run()
         # the retransmission queue survives the swap intact...
         assert observed["after"] == observed["before"]
         # ...and nothing in flight across the segue is lost
@@ -113,16 +109,17 @@ class TestSegueUnderCompiledPipeline:
     def test_swap_during_loss_recovery_keeps_retransmission_queue(self):
         # corrupted frames force GBN into recovery before the swap lands;
         # SelectiveRepeat adopts the queue and still delivers everything
-        w, s, observed = self._gbn_to_sr_run("compiled", ber=1e-5, seed=11)
+        w, s, observed = self._gbn_to_sr_run(ber=1e-5, seed=11)
         assert observed["before"] > 0
         assert observed["after"] == observed["before"]
         assert len(w.delivered) == 16
         assert s.stats.retransmissions > 0
 
-    def test_reference_and_compiled_agree_exactly(self):
+    def test_reference_and_compiled_agree_exactly(self, executors):
         runs = {}
-        for kind in ("reference", "compiled"):
-            w, s, _ = self._gbn_to_sr_run(kind, ber=1e-5, seed=11)
+        for kind in EXECUTORS:
+            with executors(kind):
+                w, s, _ = self._gbn_to_sr_run(ber=1e-5, seed=11)
             runs[kind] = (
                 len(w.delivered),
                 sum(len(data) for data, _ in w.delivered),
@@ -131,7 +128,7 @@ class TestSegueUnderCompiledPipeline:
                 w.ha.cpu.instructions_retired,
                 w.hb.cpu.instructions_retired,
             )
-        assert runs["reference"] == runs["compiled"]
+        assert runs["oracle"] == runs["shipped"]
 
 
 class TestSynthesizerReconfigure:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.netsim.profiles import ethernet_10
 from repro.tko.config import SessionConfig
-from tests.conftest import TwoHosts
+from tests.conftest import EXECUTORS, TwoHosts
 
 
 class TestEstablishment:
@@ -235,19 +235,15 @@ class TestClose:
         assert s.stats.aborted == "test abort"
         w.sim.run(until=2.0)
 
-    @pytest.mark.parametrize("kind", ["reference", "compiled", "generated"])
-    def test_final_ack_completing_close_is_clean(self, kind):
+    @pytest.mark.parametrize("kind", EXECUTORS)
+    def test_final_ack_completing_close_is_clean(self, kind, executors):
         # close() with the window still outstanding parks the session in
         # _closing; under implicit (non-blocking) connection management the
         # ack that releases the last entry finishes the close *inside*
         # handle_ack, unbinding the mechanism table mid-call.  The executor
         # must stop driving the unbound mechanisms at that point instead of
         # dereferencing mechanism.session == None.
-        from repro.tko.executor import current_executor, use_executor
-
-        prev = current_executor()
-        use_executor(kind)
-        try:
+        with executors(kind):
             w = TwoHosts()
             w.listen()
             s = w.open(SessionConfig(connection="implicit"))
@@ -255,8 +251,6 @@ class TestClose:
                 s.send(b"z" * 600)
             s.close()
             w.sim.run(until=10.0)
-        finally:
-            use_executor(prev)
         assert s.closed
         assert len(w.delivered) == 4
 

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.tko.config import SessionConfig
-from repro.tko.message import TKOMessage
-from repro.tko.pdu import PduType
 from repro.unites.collect import UNITES
 from tests.conftest import TwoHosts
 
@@ -51,31 +49,30 @@ class TestCostBreakdown:
         w.sim.run(until=0.5)
         return s
 
-    def _data_pdu(self, s, nbytes=1000):
-        p = s.make_pdu(PduType.DATA)
-        p.message = TKOMessage(b"x" * nbytes)
-        return p
+    def _breakdown(self, s, nbytes=1000):
+        return s.executor.pipeline.breakdown(nbytes, s.cfg.compact_headers)
 
     def test_breakdown_covers_all_slots(self):
         s = self._session()
-        b = s.cost_model.breakdown(self._data_pdu(s))
-        for slot in ("connection", "transmission", "detection", "recovery",
-                     "sequencing", "delivery", "jitter", "buffer",
-                     "os-fixed", "dispatch"):
-            assert slot in b
+        # read on 26748a6, where a CostModel walked send_cost()/recv_cost()
+        assert self._breakdown(s) == {
+            "os-fixed": 860.0, "connection": 60.0, "transmission": 80.0,
+            "detection": 2080.0, "recovery": 130.0, "sequencing": 90.0,
+            "delivery": 20.0, "buffer": 60.0, "jitter": 0.0, "dispatch": 240.0,
+        }
 
     def test_detection_dominates_large_pdus(self):
         s = self._session()
-        b = s.cost_model.breakdown(self._data_pdu(s, nbytes=8000))
+        b = self._breakdown(s, nbytes=8000)
         mech_costs = {k: v for k, v in b.items() if k not in ("os-fixed", "dispatch")}
         assert max(mech_costs, key=mech_costs.get) == "detection"
 
     def test_breakdown_sums_close_to_charges(self):
         s = self._session()
-        pdu = self._data_pdu(s)
-        b = s.cost_model.breakdown(pdu)
-        send_crit, send_def = s.cost_model.send_charge(pdu)
-        recv_crit, recv_def = s.cost_model.recv_charge(pdu)
+        pipe = s.executor.pipeline
+        b = self._breakdown(s)
+        send_crit, send_def = pipe.send_charge(1000)
+        recv_crit, recv_def = pipe.recv_charge(1000, s.cfg.compact_headers)
         total_breakdown = sum(b.values())
         total_charges = send_crit + send_def + recv_crit + recv_def
         # ack slot is in neither charge path (it costs on its own PDUs),
@@ -86,7 +83,6 @@ class TestCostBreakdown:
 
     def test_static_binding_zeroes_dispatch(self):
         s = self._session(SessionConfig(binding="static"))
-        b = s.cost_model.breakdown(self._data_pdu(s))
-        assert b["dispatch"] == 0.0
+        assert self._breakdown(s)["dispatch"] == 0.0
         s2 = self._session(SessionConfig(binding="dynamic"))
-        assert s2.cost_model.breakdown(self._data_pdu(s2))["dispatch"] > 0.0
+        assert self._breakdown(s2)["dispatch"] > 0.0
