@@ -8,8 +8,8 @@ benchmark enforces the bound on the hottest path of all — the kernel
 dispatch loop — by timing the same E6-style bulk workload two ways:
 
 * **baseline** — ``Simulator.run`` monkeypatched to the function
-  :func:`_run_uninstrumented` derives from it: the shipping loop, inline
-  chain drain included, minus exactly its ``tele.enabled`` tests;
+  :func:`_run_uninstrumented` derives from it: the shipping loop minus
+  exactly its one ``tele.enabled`` test;
 * **disabled** — the shipping ``run`` with telemetry *and* audit off
   (the default).  The workload traverses every audit hook site
   (``create_session``, ``_accept``, send/deliver notify points), so the
@@ -43,18 +43,19 @@ MAX_DISABLED_OVERHEAD = 1.05
 
 
 def _run_uninstrumented():
-    """``Simulator.run`` recompiled with its ``tele.enabled`` tests deleted.
+    """``Simulator.run`` recompiled with its ``tele.enabled`` test deleted.
 
     Derived from the shipping source, so the baseline cannot drift from
-    the loop it is a baseline for; if ``run`` stops spelling its guards
-    this way, the assertions fail instead of the ratio going quiet.
+    the loop it is a baseline for; if ``run`` stops spelling its guard
+    this way, or grows a second one, the assertions fail instead of the
+    ratio going quiet.
     """
     src = textwrap.dedent(inspect.getsource(Simulator.run))
+    guard = "if tele.enabled:"
+    assert src.count(guard) == 1 and src.count("tele.enabled") == 1, (
+        f"Simulator.run no longer has exactly one {guard!r}")
     # ``if False:`` is folded away at compile time, leaving the else arm
-    for guard, without in (("if tele.enabled:", "if False:"),
-                           (" and not tele.enabled", "")):
-        assert src.count(guard) == 1, f"Simulator.run no longer has {guard!r}"
-        src = src.replace(guard, without)
+    src = src.replace(guard, "if False:")
     scope = {}
     exec(compile(src, "<Simulator.run minus telemetry>", "exec"), vars(kernel), scope)
     run = scope["run"]

@@ -80,8 +80,11 @@ class Network:
                 ber=ber,
                 queue_limit=queue_limit,
                 mtu=mtu,
-                deliver=self.nodes[v].receive,
+                deliver=self.nodes[v].arrived,
             )
+            # arrival fuses with switching: the link's one landing event
+            # fires when the far node has switched the frame
+            link.far_latency = self.nodes[v].switch_latency
             self.links[(u, v)] = link
             weight = delay + _ROUTE_PROBE_BYTES * 8.0 / bandwidth_bps
             self.graph.add_edge(u, v, weight=weight)

@@ -4,7 +4,10 @@ Every vertex of the :class:`repro.netsim.network.Network` graph is a
 ``Node``.  A node forwards arriving frames toward their destination with a
 small fixed switching latency; a node may also have a *host* attached, in
 which case frames addressed to it are handed up to the host's network
-interface (the transport system's entry point).
+interface (the transport system's entry point).  The latency is not an
+event of its own: the inbound link's landing event already includes it
+(``Network.add_link`` wires it in), so :meth:`Node.arrived` switches on
+the spot.
 
 Congestion lives in the outgoing :class:`~repro.netsim.link.Link` queues,
 not in the node itself; the node merely consults routing and replicates
@@ -14,11 +17,12 @@ multicast frames at branch points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.netsim.frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.link import Link
     from repro.netsim.network import Network
 
 
@@ -41,6 +45,10 @@ class Node:
         self.switch_latency = switch_latency
         self.host_deliver: Optional[Callable[[Frame], None]] = None
         self.stats = NodeStats()
+        #: destination -> outgoing link (None: unreachable), valid for one
+        #: ``Network.topology_version``
+        self._egress: Dict[str, Optional["Link"]] = {}
+        self._egress_version = -1
 
     # ------------------------------------------------------------------
     def attach_host(self, deliver: Callable[[Frame], None]) -> None:
@@ -58,11 +66,16 @@ class Node:
         self.host_deliver = None
 
     # ------------------------------------------------------------------
-    def receive(self, frame: Frame) -> None:
-        """Entry point for frames arriving from an adjacent link."""
+    def arrived(self, frame: Frame) -> None:
+        """Entry point for frames landing from an adjacent link.
+
+        Called ``switch_latency`` after the wire delivered the frame — the
+        link's landing event carries the latency — so forwarding is
+        immediate.
+        """
         frame.hops += 1
         frame.trace.append(self.name)
-        self.network.sim.schedule_transient(self.switch_latency, self._forward, frame)
+        self._forward(frame)
 
     def inject(self, frame: Frame) -> None:
         """Entry point for frames originated by the attached host."""
@@ -77,18 +90,27 @@ class Node:
             self._forward_unicast(frame)
 
     def _forward_unicast(self, frame: Frame) -> None:
-        if frame.dst == self.name:
+        dst = frame.dst
+        if dst == self.name:
             self._deliver_local(frame)
             return
-        nxt = self.network.next_hop(self.name, frame.dst)
-        if nxt is None:
+        net = self.network
+        if self._egress_version != net.topology_version:
+            self._egress.clear()
+            self._egress_version = net.topology_version
+        try:
+            link = self._egress[dst]
+        except KeyError:
+            nxt = net.next_hop(self.name, dst)
+            link = None if nxt is None else net.links[(self.name, nxt)]
+            self._egress[dst] = link
+        if link is None:
             self.stats.dropped_no_route += 1
             # the frame dies here; surrender its payload's wire reference
             rel = getattr(frame.payload, "release", None)
             if rel is not None:
                 rel()
             return
-        link = self.network.link(self.name, nxt)
         self.stats.forwarded += 1
         link.send(frame)
 

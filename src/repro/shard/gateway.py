@@ -2,13 +2,17 @@
 
 A boundary link's near half — queueing, serialization, channel errors,
 drop accounting — runs byte-identically to a serial run on the shard
-that owns the source node.  Only the final propagation step differs:
-:class:`GatewayLink` overrides :meth:`~repro.netsim.link.Link._propagate`
-to hand the frame to the shard's :class:`ShardGateway`, which encodes it
-with the wire codec (the same ``encode_frame``/``decode_frame`` pair
-the real transport substrates use) and stamps its arrival time
-``now + link.delay`` — exactly when the serial run's ``_arrive`` event
-would have fired on the far side.
+that owns the source node.  Only *when* the frame lands differs: an
+ordinary link lands a frame once, after propagation and switching, but
+the far shard must hear of a frame a full propagation delay (the
+lookahead) ahead, so :class:`GatewayLink` overrides
+:meth:`~repro.netsim.link.Link._launch` to land it eagerly, at the
+instant it leaves the wire.  The link then delivers to the shard's
+:class:`ShardGateway`, which encodes the frame with the wire codec (the
+same ``encode_frame``/``decode_frame`` pair the real transport
+substrates use) and stamps its arrival time ``now + link.delay``; the
+far side adds its node's switching latency and enters the frame exactly
+when the serial run's landing would have fired.
 
 Egress release discipline mirrors
 ``repro.transport.fabric.RealFabric._encode_for_send``: the pooled wire
@@ -31,6 +35,7 @@ Refused at the gate, by design rather than by accident:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Tuple
 
 from repro.netsim.frame import (
@@ -63,24 +68,29 @@ class GatewayLink(Link):
     """The near half of a boundary link.
 
     Created in place by :func:`make_boundary` (a class swap, so the
-    link's queues, stats, RNG stream, and event chains — everything the
-    serial run already computed — carry over untouched).  Frames that
-    survive the channel hand themselves to the gateway instead of
-    scheduling a local arrival.
+    link's queues, stats and RNG stream — everything the serial run
+    already computed — carry over untouched).  The frame's one event
+    fires at ``done``, where ``Link._land`` draws the channel error,
+    checks ``up`` and delivers the survivor to the gateway instead of a
+    local node.  The handler stays ``Link._land``, and at priority -1 it
+    precedes a fault at the same instant, which is how a lazy link reads
+    its change log.
     """
 
     gateway: "ShardGateway"
     dst_shard: int
     far_node: str
 
-    def _propagate(self, frame: Frame) -> None:
-        self.gateway.ship(self, frame)
+    def _launch(self, frame: Frame, done: float) -> None:
+        self.sim.schedule_transient_at(done, self._land, frame, done,
+                                       priority=-1)
 
 
 def make_boundary(link: Link, gateway: "ShardGateway", dst_shard: int,
                   far_node: str) -> GatewayLink:
     """Convert an ordinary link into a gateway-backed boundary link."""
     link.__class__ = GatewayLink
+    link.deliver = partial(gateway.ship, link)
     link.gateway = gateway
     link.dst_shard = dst_shard
     link.far_node = far_node
@@ -131,7 +141,7 @@ class ShardGateway:
         stats.frames_out += 1
         stats.bytes_out += len(data)
         message: Message = (
-            self.sim.now + link.delay,   # when serial _arrive would fire
+            self.sim.now + link.delay,   # now is the frame's ``done``
             frame.priority,
             self.shard_id,
             self._seq,
@@ -155,15 +165,16 @@ class ShardGateway:
         Sorted by ``(arrival, priority, src_shard, egress_seq)`` so the
         kernel's same-timestamp tiebreak (schedule order) is a pure
         function of message content, never of pipe timing.  The decoded
-        frame is scheduled directly onto the ingress node's ``receive``
-        — the continuation of the serial run's ``_arrive -> deliver``
-        hand-off — at the stamped arrival time, which the lookahead
-        barrier guarantees is still in this shard's future.
+        frame enters the ingress node through ``arrived`` — the far half
+        of the serial run's landing — at the stamped arrival time plus
+        the node's switching latency; the arrival itself is what the
+        lookahead barrier guarantees is still in this shard's future.
         """
         for arrival, _priority, _src, _seq, ingress, blob in sorted(messages):
             frame = decode_frame(blob)
             node = self.network.nodes[ingress]
-            self.sim.schedule_transient_at(arrival, node.receive, frame)
+            self.sim.schedule_transient_at(
+                arrival + node.switch_latency, node.arrived, frame)
             self.stats.frames_in += 1
 
     # ------------------------------------------------------------------

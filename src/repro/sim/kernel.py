@@ -4,10 +4,9 @@ The kernel is allocation-light and cancellation-tolerant.  Every pending
 occurrence is one plain tuple ``(time, priority, seq, fn, args, handle)``:
 ``seq`` is unique, so ``heapq`` decides every comparison in C on the
 first three fields and event ordering never executes Python.  ``handle``
-is ``None`` for fire-and-forget work (``schedule_transient*``), the
-:class:`Event` a cancellable scheduling call returned, or the
-:class:`EventChain` that owns the occurrence.  Pending events live in two
-structures ordered by ``(time, priority, seq)``:
+is ``None`` for fire-and-forget work (``schedule_transient*``) and the
+:class:`Event` a cancellable scheduling call returned otherwise.  Pending
+events live in two structures ordered by ``(time, priority, seq)``:
 
 * a **binary heap** — the general store for events that usually fire
   (frame arrivals, CPU completions, workload wake-ups);
@@ -37,7 +36,6 @@ policy, and the determinism argument.
 from __future__ import annotations
 
 import math
-from collections import deque
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
@@ -395,7 +393,7 @@ class EventQueue:
         self._live -= 1
         self.popped_live += 1
         handle = entry[5]
-        if handle.__class__ is Event:
+        if handle is not None:
             handle.fn = None  # fired: a later cancel() is a no-op
         return entry
 
@@ -466,116 +464,6 @@ class RepeatingEvent:
     def armed(self) -> bool:
         """True while a future tick is scheduled."""
         return not self.cancelled and self._event is not None
-
-
-class EventChain:
-    """A monotone stream of occurrences sharing one heap slot.
-
-    The batch-drain hook for components that emit long runs of
-    nondecreasing-time events from a single logical source — a link's
-    serialization completions, its propagation arrivals.  Only the
-    *earliest* pending occurrence sits in the heap; the rest wait in a
-    plain ``deque`` as ready-made ``(time, priority, seq, fn, args,
-    chain)`` entries.  Appending to a busy chain is a deque append — no
-    ``heappush`` — and the inlined run loop may **drain several
-    occurrences from one heap pop** when it can prove no other pending
-    event precedes them in the ``(time, priority, seq)`` total order.
-
-    Determinism is preserved exactly:
-
-    * every occurrence claims its ``seq`` from the simulator's global
-      counter at schedule time, at the same call sites as before, so
-      tie-breaking against foreign events is bit-identical;
-    * the head occurrence sits in the heap under its own ``(time,
-      priority, seq)`` key, so heap ordering is the order the per-event
-      scheme would have produced;
-    * inline draining fires an occurrence early only when the heap top
-      and the timer wheel provably contain nothing that precedes it —
-      otherwise the occurrence is pushed and ordering falls back to the
-      ordinary pop discipline.
-
-    Occurrences are fire-and-forget (no cancellation handle); a stream
-    that needs cancellable events should keep using the plain scheduling
-    APIs.  An out-of-order append (``(time, priority)`` below the last
-    pending occurrence's) falls back to :meth:`Simulator.schedule_transient_at`
-    transparently, so monotonicity is an optimization contract, not a
-    correctness obligation on callers.
-    """
-
-    __slots__ = ("sim", "pending", "armed", "last_time", "last_priority",
-                 "appended", "fallbacks", "drained_inline")
-
-    #: a chain's entries are never cancelled (read where handles are tested)
-    cancelled = False
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-        self.pending: deque = deque()
-        #: True while one of this chain's entries is in the heap or firing
-        self.armed = False
-        #: (time, priority) of the newest accepted occurrence: the stream
-        #: stays sorted as long as appends do not go below it (seq only grows)
-        self.last_time = 0.0
-        self.last_priority = 0
-        #: occurrences accepted (stats; fallbacks are *not* counted here)
-        self.appended = 0
-        #: out-of-order schedules routed to the plain transient API
-        self.fallbacks = 0
-        #: occurrences fired inline off another occurrence's heap pop
-        self.drained_inline = 0
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
-                 priority: int = 0) -> None:
-        """Append ``fn(*args)`` at ``now + delay`` to the stream."""
-        sim = self.sim
-        time = sim._now + delay
-        if time < sim._now or (self.armed and (
-                time < self.last_time
-                or (time == self.last_time and priority < self.last_priority))):
-            self._fallback(time, fn, args, priority)
-            return
-        sim._seq = seq = sim._seq + 1
-        self.appended += 1
-        self.last_time = time
-        self.last_priority = priority
-        q = sim._queue
-        q._live += 1
-        if self.armed:
-            self.pending.append((time, priority, seq, fn, args, self))
-        else:
-            self.armed = True
-            _heappush(q._heap, (time, priority, seq, fn, args, self))
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any,
-                    priority: int = 0) -> None:
-        """Absolute-time variant of :meth:`schedule`."""
-        sim = self.sim
-        if time < sim._now or (self.armed and (
-                time < self.last_time
-                or (time == self.last_time and priority < self.last_priority))):
-            self._fallback(time, fn, args, priority)
-            return
-        sim._seq = seq = sim._seq + 1
-        self.appended += 1
-        self.last_time = time
-        self.last_priority = priority
-        q = sim._queue
-        q._live += 1
-        if self.armed:
-            self.pending.append((time, priority, seq, fn, args, self))
-        else:
-            self.armed = True
-            _heappush(q._heap, (time, priority, seq, fn, args, self))
-
-    def _fallback(self, time: float, fn: Callable[..., Any], args: tuple,
-                  priority: int) -> None:
-        # keep total order: a non-monotone occurrence takes the ordinary
-        # heap route (still fires at its exact key)
-        self.fallbacks += 1
-        self.sim.schedule_transient_at(time, fn, *args, priority=priority)
-
-    def __len__(self) -> int:
-        return len(self.pending) + (1 if self.armed else 0)
 
 
 class Simulator:
@@ -696,7 +584,7 @@ class Simulator:
     ) -> None:
         """Schedule a fire-and-forget event: no handle, no record.
 
-        For hot-path events that always fire (node forwarding, CPU
+        For hot-path events that always fire (link landings, CPU
         completions, cross-shard arrivals): ordered exactly like
         :meth:`schedule`, but the heap entry is all there is — nothing is
         returned, so nothing can cancel it.  Use :meth:`schedule` when
@@ -725,14 +613,6 @@ class Simulator:
         q = self._queue
         q._live += 1
         _heappush(q._heap, (time, priority, seq, fn, args, None))
-
-    def make_chain(self) -> EventChain:
-        """Create an :class:`EventChain` — the batch-drain scheduling hook.
-
-        For single-source monotone event streams (link serialization /
-        propagation).
-        """
-        return EventChain(self)
 
     def cancel(self, event) -> None:
         """Cancel a previously scheduled event (idempotent).
@@ -825,7 +705,7 @@ class Simulator:
                 _heappop(heap)
                 q._live -= 1
                 self._now = t
-                if handle is not None and handle.__class__ is Event:
+                if handle is not None:
                     handle.fn = None  # fired: a later cancel() is a no-op
                 if tele.enabled:
                     # slow, exact branch: flush batched counters first so
@@ -841,36 +721,6 @@ class Simulator:
                 else:
                     fn(*args)
                 n += 1
-                if handle is not None and handle.__class__ is EventChain:
-                    # batch-drain hook: fire successive chain occurrences
-                    # off this one heap pop while each provably precedes
-                    # every other pending event in (time, priority, seq)
-                    pending = handle.pending
-                    if pending and not tele.enabled:
-                        drained = 0
-                        while pending:
-                            nxt = pending[0]
-                            nt = nxt[0]
-                            if ((until is not None and nt > until)
-                                    or self._stopped or n == budget):
-                                break
-                            if heap and not nxt < heap[0]:
-                                break
-                            if (wheel.live and nt >= wheel.flushed_until
-                                    and nt >= wheel.min_start):
-                                break
-                            pending.popleft()
-                            q._live -= 1
-                            self._now = nt
-                            nxt[3](*nxt[4])
-                            n += 1
-                            drained += 1
-                        if drained:
-                            handle.drained_inline += drained
-                    if pending:
-                        _heappush(heap, pending.popleft())
-                    else:
-                        handle.armed = False
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:

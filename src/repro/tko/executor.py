@@ -308,6 +308,10 @@ class CompiledExecutor:
     def _process(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
         if s._closed:
+            # closed while this frame waited for the CPU: retire it the way
+            # ``TKOProtocol._unclaimed`` does (a multicast PDU is shared)
+            if frame.multicast_dsts is None:
+                pdu.discard()
             return
         s.stats.pdus_received += 1
         if s.observers:
@@ -417,6 +421,11 @@ class CompiledExecutor:
     def _deliver_app(self, message: TKOMessage, first: PDU) -> None:
         s = self.s
         if s._closed:
+            # a playout-delayed delivery outlived its session: nothing
+            # will materialize the message or read ``first`` any more
+            message.release_payload()
+            if first.pooled:
+                first.release()
             return
         data = message.materialize()  # the one app-boundary copy
         costs = s.host.cpu.costs

@@ -435,6 +435,14 @@ class TKOSession:
             if pdu.pooled:
                 pdu.release()
         self._send_queue.clear()
+        # the receive side parks wire references too: fragments waiting for
+        # the rest of their message, arrivals held for in-order release
+        for pdu in self.reassembler.drain():
+            pdu.discard()
+        for pdu in self.recv_window.buffer.values():
+            if pdu is not None:
+                pdu.discard()
+        self.recv_window.buffer.clear()
         self.timers.cancel_all()
         self.host.network.rng.discard(self._rng_name)
         if self._pump_event is not None:

@@ -230,6 +230,11 @@ class Reassembler:
         if pdu.frag_count <= 1:
             return [pdu]
         parts = self._partial.setdefault(pdu.msg_id, {})
+        displaced = parts.get(pdu.frag_index)
+        if displaced is not None and displaced is not pdu:
+            # a tolerated duplicate of a parked fragment (a retransmission
+            # that crossed its original): one wire reference per slot
+            displaced.discard()
         parts[pdu.frag_index] = pdu
         if len(parts) == pdu.frag_count:
             del self._partial[pdu.msg_id]
@@ -238,6 +243,13 @@ class Reassembler:
 
     def drop_partial(self, msg_id: int) -> None:
         self._partial.pop(msg_id, None)
+
+    def drain(self) -> List[PDU]:
+        """Hand back every parked fragment (session teardown)."""
+        parked = [pdu for parts in self._partial.values()
+                  for pdu in parts.values()]
+        self._partial.clear()
+        return parked
 
     @property
     def partial_count(self) -> int:

@@ -71,6 +71,16 @@ class TwoHosts:
         return s
 
 
+def kernel_handler_labels() -> set:
+    """Every ``kernel_handler_seconds{handler=…}`` label the process-wide
+    telemetry has timed so far — what the repo benchmark's ledger reads."""
+    from repro.unites.obs.telemetry import TELEMETRY
+
+    return {dict(metric.labels)["handler"]
+            for metric in TELEMETRY.metrics.collect()
+            if metric.name == "kernel_handler_seconds"}
+
+
 #: what a world can run under: the executor ``TKOSession`` constructs, or
 #: the behavioural oracle of ``tests/oracles/`` substituted for it
 EXECUTORS = ("shipped", "oracle")

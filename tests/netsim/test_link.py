@@ -38,6 +38,18 @@ class TestLinkBasics:
         sim.run()
         assert [f.id for f in got] == [f1.id, f2.id]
 
+    def test_back_to_back_burst_is_fifo_and_pipelined(self, sim):
+        link, got = make_link(sim, queue_limit=16)
+        frames = [Frame("A", "B", 500) for _ in range(6)]
+        for frame in frames:
+            link.send(frame)
+        sim.run()
+        # FIFO delivery, last arrival = six serializations + one delay
+        assert [f.id for f in got] == [f.id for f in frames]
+        assert sim.now == pytest.approx(6 * 500 * 8 / 8e6 + 0.001)
+        # one landing per frame, one drain per frame that had to wait
+        assert sim.events_dispatched == 6 + 5
+
     def test_bad_parameters_rejected(self, sim):
         with pytest.raises(ValueError):
             Link(sim, RngStreams(0), "x", bandwidth_bps=0, delay=0.0)
@@ -78,7 +90,7 @@ class TestQueueing:
         assert link.queue_len == recount() == 6
         link.set_queue_limit(2)  # shrink drops from the back
         assert link.queue_len == recount() == 2
-        sim.run(until=0.002)  # _start_next dequeues as the wire frees
+        sim.run(until=0.002)  # _drain dequeues as the wire frees
         assert link.queue_len == recount() == 1
         link.send(Frame("A", "B", 1500))
         link.fail()

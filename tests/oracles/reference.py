@@ -212,6 +212,8 @@ class ReferenceExecutor(CompiledExecutor):
     def _process(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
         if s._closed:
+            if frame.multicast_dsts is None:
+                pdu.discard()
             return
         s.stats.pdus_received += 1
         s._notify("pdu-received", pdu=pdu, corrupted=frame.corrupted)

@@ -1,59 +1,60 @@
-"""Point-to-point simplex link with serialization, queueing, and bit errors.
+"""The link oracle: three kernel events per hop, kept verbatim.
 
-Each link is a single-server queue: frames wait in per-priority FIFO queues,
-are serialized at the channel rate, then propagate for a fixed delay.  The
-queue has finite capacity — overflow is *the* congestion-loss mechanism the
-paper's adaptive policies respond to ("greater packet loss due to queue
-overflows at intermediate switching nodes", §3(C)).
+:class:`ReferenceLink` is the link as it stood before a hop became one
+event (``28ca593``): ``_tx_done`` when the frame leaves the wire — where
+the channel error is drawn and ``up`` is read, *at that instant* —
+``_arrive`` one propagation delay later, and, in :func:`receive`, the
+far node's switching latency as a third event.  Its methods are that
+file's, unchanged but for the two ``EventChain`` appends, which are the
+``schedule_transient`` calls they were order-identical to (the chain is
+gone from the kernel).  It shares no scheduling code with
+``repro.netsim.link``, so ``tests/netsim/test_link_equivalence.py``
+compares two independent models of a hop: one that visits every instant
+and one that computes them.
 
-The server is *lazy*: a frame's whole trip is arithmetic on the instant it
-was clocked onto the wire (``done = start + serialization``), so a hop
-costs **one** kernel event — the landing at ``(done + delay) +`` the far
-node's switching latency — and a second one, ``_drain`` at the instant the
-wire frees, only when the frame had to queue.  Nothing can observe a frame
-between those instants, so nothing is scheduled there (docs/performance.md,
-"One event per hop").
-
-Bit errors are applied per frame with probability ``1 - (1 - BER)**bits``
-using the link's own random stream, so changing one link's traffic never
-perturbs another's error pattern.
+:func:`use_reference_links` rewires a built :class:`Network` onto the
+oracle in place.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
-
 from repro.netsim.frame import Frame
+from repro.netsim.link import N_PRIORITIES, LinkStats
+from repro.netsim.network import Network
+from repro.netsim.node import Node
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
-#: number of distinct priority classes a link serves (see frame.PRIO_*)
-N_PRIORITIES = 3
+
+def receive(node: Node, frame: Frame) -> None:
+    """``Node.receive`` as it was: arrival and switching are two events."""
+    frame.hops += 1
+    frame.trace.append(node.name)
+    node.network.sim.schedule_transient(node.switch_latency, node._forward, frame)
 
 
-@dataclass
-class LinkStats:
-    """Counters exposed to MANTTS' network monitor and to UNITES."""
+def use_reference_links(net: Network) -> Network:
+    """Replace every link of ``net`` with a :class:`ReferenceLink`.
 
-    enqueued: int = 0
-    delivered: int = 0
-    dropped_overflow: int = 0
-    dropped_down: int = 0
-    dropped_mtu: int = 0
-    corrupted: int = 0
-    bytes_delivered: int = 0
-    busy_time: float = 0.0
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the channel spent transmitting."""
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
+    Call on a freshly built network: a link's random stream is looked up
+    by name, so the replacement draws from the stream the original would
+    have, from its start.
+    """
+    for (u, v), link in net.links.items():
+        net.links[(u, v)] = ReferenceLink(
+            net.sim, net.rng, link.name, link.bandwidth_bps, link.delay,
+            ber=link.ber, queue_limit=link.queue_limit, mtu=link.mtu,
+            deliver=partial(receive, net.nodes[v]))
+    net.topology_version += 1  # nodes cache their egress links
+    return net
 
 
-class Link:
+class ReferenceLink:
     """A directed link ``a -> b`` with finite queue and error model.
 
     Parameters
@@ -96,26 +97,13 @@ class Link:
         self.queue_limit = int(queue_limit)
         self.mtu = int(mtu)
         self.deliver = deliver
-        #: switching latency of the node ``deliver`` belongs to, folded into
-        #: the landing instant; wired by ``Network.add_link`` and nowhere
-        #: else — a stand-alone link lands at ``done + delay``
-        self.far_latency = 0.0
         self.up = True
         self.stats = LinkStats()
         self._queues: list[deque[Frame]] = [deque() for _ in range(N_PRIORITIES)]
         #: frames waiting across ``_queues``, not counting the one on the
         #: wire — a maintained count, because every ``send`` reads it
         self.queue_len = 0
-        #: the instant the wire frees: ``done`` of the last frame clocked on
-        self._busy_until = 0.0
-        #: a ``_drain`` event is pending at ``_busy_until`` (set whenever a
-        #: frame waits; a frame never waits without one)
-        self._draining = False
-        #: ``(time, up-before, ber-before)`` for every ``fail`` / ``restore``
-        #: / ``set_ber`` made while a frame was in flight: what ``_land``
-        #: needs to judge a frame as of its ``done``.  Empty on a link no
-        #: fault ever touched.
-        self._changes: list[tuple[float, bool, float]] = []
+        self._transmitting = False
         self._rng = rng.stream(f"link:{name}")
 
     # ------------------------------------------------------------------
@@ -152,6 +140,9 @@ class Link:
             self._count_drop("overflow", frame.size)
             self._drop_payload(frame)
             return False
+        prio = min(max(frame.priority, 0), N_PRIORITIES - 1)
+        self._queues[prio].append(frame)
+        self.queue_len += 1
         self.stats.enqueued += 1
         if _TELEMETRY.enabled:
             _TELEMETRY.metrics.counter(
@@ -160,20 +151,8 @@ class Link:
             _TELEMETRY.metrics.counter(
                 "link_bytes_enqueued_total", labels={"link": self.name},
                 help="bytes accepted into the link queue").inc(frame.size)
-        now = self.sim.now
-        if self._draining or now < self._busy_until:
-            # busy wire: wait, with one ``_drain`` armed for the instant it
-            # frees.  Priority -1 is the tie rule — at one instant the wire
-            # frees before a frame arrives.
-            prio = min(max(frame.priority, 0), N_PRIORITIES - 1)
-            self._queues[prio].append(frame)
-            self.queue_len += 1
-            if not self._draining:
-                self._draining = True
-                self.sim.schedule_transient_at(
-                    self._busy_until, self._drain, priority=-1)
-        else:
-            self._clock_on(frame, now)
+        if not self._transmitting:
+            self._start_next()
         return True
 
     @staticmethod
@@ -201,65 +180,25 @@ class Link:
                     help="bytes lost at the link, by cause").inc(nbytes)
             _TELEMETRY.instant("link-drop", "netsim", link=self.name, reason=reason)
 
-    def _drain(self) -> None:
-        """The wire frees: clock the next waiting frame onto it."""
+    def _start_next(self) -> None:
+        frame = None
         for q in self._queues:
             if q:
                 frame = q.popleft()
                 break
-        else:  # ``fail`` or ``set_queue_limit`` emptied the queue meanwhile
-            self._draining = False
+        if frame is None:
+            self._transmitting = False
             return
         self.queue_len -= 1
-        self._clock_on(frame, self.sim.now)
-        if self.queue_len:
-            self.sim.schedule_transient_at(
-                self._busy_until, self._drain, priority=-1)
-        else:
-            self._draining = False
-
-    def _clock_on(self, frame: Frame, now: float) -> None:
-        """Put ``frame`` on the free wire; it leaves it at ``done``."""
+        self._transmitting = True
         ser = frame.size * 8.0 / self.bandwidth_bps  # serialization_time()
         self.stats.busy_time += ser
-        self._busy_until = done = now + ser
-        self._launch(frame, done)
+        self.sim.schedule_transient(ser, self._tx_done, frame)
 
-    def _launch(self, frame: Frame, done: float) -> None:
-        """Schedule the one event of a frame that leaves the wire at ``done``.
-
-        With ``done = now + ser`` the additions are the three a per-stage
-        model makes, in its order (serialization end, plus propagation, plus
-        switching) — regrouping them moves simulated times by an ulp.  Shard
-        boundary links override this hook
-        (:class:`repro.shard.gateway.GatewayLink`) to land at ``done``
-        itself, because the far shard must hear of the frame a full
-        propagation delay ahead.
-        """
-        self.sim.schedule_transient_at(
-            (done + self.delay) + self.far_latency, self._land, frame, done)
-
-    def _land(self, frame: Frame, done: float) -> None:
-        """Decide the frame's fate on the channel as of ``done``; deliver it.
-
-        Landings fire in transmission order (``done`` is strictly increasing
-        per link and delay/latency are fixed), so the link's random stream
-        is drawn in the order a per-stage model draws it.  ``_changes``
-        supplies the ``up`` / ``ber`` in force at ``done`` when a fault
-        moved them since; entries older than ``done`` can matter to no later
-        frame and are pruned here.
-        """
-        up = self.up
-        ber = self.ber
-        log = self._changes
-        if log:
-            while log and log[0][0] < done:
-                del log[0]
-            if log:
-                _, up, ber = log[0]
+    def _tx_done(self, frame: Frame) -> None:
         # Channel errors are imposed while the frame is on the wire.
-        if ber > 0.0 and not frame.corrupted:
-            p_err = 1.0 - (1.0 - ber) ** (frame.size * 8)
+        if self.ber > 0.0 and not frame.corrupted:
+            p_err = 1.0 - (1.0 - self.ber) ** (frame.size * 8)
             if self._rng.random() < p_err:
                 frame.corrupted = True
                 self.stats.corrupted += 1
@@ -267,11 +206,23 @@ class Link:
                     _TELEMETRY.metrics.counter(
                         "link_frames_corrupted_total", labels={"link": self.name},
                         help="frames hit by channel bit errors").inc()
-        if not up:
+        if self.up:
+            self._propagate(frame)
+        else:
             self.stats.dropped_down += 1
             self._count_drop("down", frame.size)
             self._drop_payload(frame)
-            return
+        self._start_next()
+
+    def _propagate(self, frame: Frame) -> None:
+        """Launch a serialized frame onto the propagation delay.
+
+        Runs after the error model, so the frame's fate on the channel is
+        already decided.
+        """
+        self.sim.schedule_transient(self.delay, self._arrive, frame)
+
+    def _arrive(self, frame: Frame) -> None:
         self.stats.delivered += 1
         self.stats.bytes_delivered += frame.size
         if _TELEMETRY.enabled:
@@ -282,10 +233,10 @@ class Link:
             t.metrics.counter(
                 "link_bytes_delivered_total", labels={"link": self.name},
                 help="bytes handed to the far endpoint").inc(frame.size)
-            # time on the wire: serialization (at today's rate) then delay
-            t.complete("link-tx", "netsim",
-                       done - self.serialization_time(frame.size),
-                       done + self.delay,
+            # The frame left the queue serialization_time before the
+            # propagation delay began: reconstruct its time on the wire.
+            start = self.sim.now - self.delay - self.serialization_time(frame.size)
+            t.complete("link-tx", "netsim", start, self.sim.now,
                        link=self.name, bytes=frame.size,
                        corrupted=frame.corrupted)
         if self.deliver is not None:
@@ -308,7 +259,6 @@ class Link:
         """Change the channel bit-error rate (BER storm / recovery)."""
         if not (0.0 <= ber < 1.0):
             raise ValueError("BER must be in [0, 1)")
-        self._note_change()
         self.ber = float(ber)
 
     def set_queue_limit(self, queue_limit: int) -> None:
@@ -336,11 +286,8 @@ class Link:
         The drain is a first-class drop site: every queued frame is counted
         as ``dropped_down`` *and* surrenders its payload's wire reference,
         so pooled transport PDU shells go back to ``PDU_POOL`` instead of
-        leaking with the cleared deque.  The frame on the wire is judged
-        when it lands, as of the instant it leaves the wire: lost unless the
-        link is back up by then; a frame already propagating arrives.
+        leaking with the cleared deque.
         """
-        self._note_change()
         self.up = False
         for q in self._queues:
             lost = len(q)
@@ -362,18 +309,4 @@ class Link:
 
     def restore(self) -> None:
         """Bring the link back up."""
-        self._note_change()
         self.up = True
-
-    def _note_change(self) -> None:
-        """Log ``up`` / ``ber`` as they stand, ahead of a change to either.
-
-        Only frames already clocked onto the wire can need the old values
-        (every later frame leaves the wire after now), so with none in
-        flight the log is dropped instead of grown.
-        """
-        now = self.sim.now
-        if now > (self._busy_until + self.delay) + self.far_latency:
-            self._changes.clear()
-        else:
-            self._changes.append((now, self.up, self.ber))

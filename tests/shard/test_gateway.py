@@ -92,6 +92,36 @@ class TestEgressSuccess:
         assert seqs == [0, 1, 2]
 
 
+class TestEagerHalf:
+    """A boundary link lands a frame when it leaves the wire, not after
+    propagation: the far shard needs the whole delay as notice."""
+
+    SER = 100 * 8 / 1e6
+
+    def test_frame_ships_at_done_stamped_with_the_propagation_delay(self):
+        sim, _net, gw, link = _world()
+        assert link.send(Frame("A", "B", 100, payload=_pooled_pdu()))
+        assert not gw.drain_outbox()  # nothing leaves before the wire is done
+        sim.run()
+        assert (sim.now, sim.events_dispatched) == (self.SER, 1)
+        [(_dst, message)] = gw.drain_outbox()
+        assert message[0] == self.SER + link.delay
+        assert link._land.__qualname__ == "Link._land"  # bench/spans.py keys on it
+
+    def test_fate_is_decided_at_done_like_any_link(self):
+        sim, _net, gw, link = _world()
+        r0 = PDU_POOL.recycled
+        link.send(Frame("A", "B", 100, payload=_pooled_pdu()))  # lost: down at done
+        sim.schedule_at(self.SER / 2, link.fail)
+        sim.schedule_at(self.SER * 2, link.restore)
+        sim.schedule_at(self.SER * 3, link.send, Frame("A", "B", 100))
+        sim.schedule_at(self.SER * 3.5, link.fail)      # ... and back up
+        sim.schedule_at(self.SER * 3.75, link.restore)  # before this one's done
+        sim.run()
+        assert link.stats.dropped_down == 1 and PDU_POOL.recycled == r0 + 1
+        assert gw.stats.frames_out == 1
+
+
 class TestIngress:
     def test_inject_decodes_fresh_unpooled_pdu_at_stamped_arrival(self):
         sim, _net, gw, link = _world()
@@ -101,7 +131,8 @@ class TestIngress:
         received = []
         far_sim = Simulator()
         stub = types.SimpleNamespace(
-            receive=lambda f: received.append((far_sim.now, f)))
+            switch_latency=5e-6,
+            arrived=lambda f: received.append((far_sim.now, f)))
         far_net = types.SimpleNamespace(nodes={"B": stub})
         far_gw = ShardGateway(far_sim, far_net, shard_id=1)
         a0 = PDU_POOL.acquired
@@ -109,14 +140,17 @@ class TestIngress:
         far_sim.run()
         assert far_gw.stats.frames_in == 1
         [(when, frame)] = received
-        assert when == pytest.approx(message[0])
+        # the fused entry: already switched, exactly where serial lands it
+        assert when == message[0] + 5e-6
+        assert far_sim.events_dispatched == 1
         assert frame.payload is not None and frame.payload.pooled is False
         assert PDU_POOL.acquired == a0  # decode never touches the pool
 
     def test_inject_order_is_message_content_not_pipe_order(self):
         received = []
         sim = Simulator()
-        stub = types.SimpleNamespace(receive=lambda f: received.append(f.src))
+        stub = types.SimpleNamespace(
+            switch_latency=5e-6, arrived=lambda f: received.append(f.src))
         net = types.SimpleNamespace(nodes={"B": stub})
         gw = ShardGateway(sim, net, shard_id=1)
 

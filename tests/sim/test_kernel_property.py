@@ -1,13 +1,13 @@
 """Property: the kernel fires the live occurrences in specification order.
 
-Hypothesis draws a *program* — scheduling calls of every kind, chain
-appends (monotone and not), cancellations of pending, fired and already
-cancelled handles, events that cancel or schedule from inside the run
-loop — executed in phases of ``run(until=…)``, ``run(max_events=…)`` and
-``run_until_horizon``.  The program runs twice: on a :class:`Simulator`
-and on :class:`Spec`, a reference that knows nothing about heaps, wheels
-or chains and simply fires ``min(live, key=(time, priority, schedule
-order))``.  Traces, clocks and live counts must agree at every step.
+Hypothesis draws a *program* — scheduling calls of every kind,
+cancellations of pending, fired and already cancelled handles, events that
+cancel or schedule from inside the run loop — executed in phases of
+``run(until=…)``, ``run(max_events=…)`` and ``run_until_horizon``.  The
+program runs twice: on a :class:`Simulator` and on :class:`Spec`, a
+reference that knows nothing about heaps or wheels and simply fires
+``min(live, key=(time, priority, schedule order))``.  Traces, clocks and
+live counts must agree at every step.
 
 Delays collide on purpose and straddle every wheel level; callbacks are
 fresh closures and their arguments dicts, neither of which can be
@@ -31,11 +31,10 @@ DELAYS = (0.0, 0.0, 0.0004, 0.001, 0.001, 0.002, 0.03, 0.0625, 0.07,
           0.5, 0.5, 4.0, 5.0, 300.0)
 PRIORITIES = (-1, 0, 0, 0, 1)
 HANDLED = ("schedule", "schedule_at", "schedule_timer")
-#: chain appends and wheel timers repeated: bursts that the inline drain
-#: must interleave with foreign events and parked timers are the hard case
+#: wheel timers repeated: parked timers that must interleave with heap
+#: events at the same instant are the hard case
 KINDS = HANDLED + ("schedule_transient", "schedule_transient_at",
-                   "schedule_timer", "chain0", "chain0", "chain0",
-                   "chain0_at", "chain1", "chain1_at")
+                   "schedule_timer")
 
 PENDING, FIRED, CANCELLED = "pending", "fired", "cancelled"
 
@@ -110,7 +109,6 @@ class Harness:
     def __init__(self):
         self.sim = Simulator()
         self.spec = Spec()
-        self.chains = (self.sim.make_chain(), self.sim.make_chain())
         self.trace = []
         self.handles = {}  # rid -> Event, cancellable kinds only
         self.scheduled = 0  # mirrors len(spec.records) while sim runs ahead
@@ -139,13 +137,6 @@ class Harness:
         rid = self.spec.add(time, priority, on_fire)
         self.scheduled += 1
         fn, tag = self._callback(rid, on_fire), {"rid": rid}
-        if kind.startswith("chain"):
-            chain = self.chains[int(kind[5])]
-            if kind.endswith("_at"):
-                chain.schedule_at(time, fn, tag, priority=priority)
-            else:
-                chain.schedule(delay, fn, tag, priority=priority)
-            return
         when = time if kind.endswith("_at") else delay
         handle = getattr(sim, kind)(when, fn, tag, priority=priority)
         if kind in HANDLED:
@@ -199,14 +190,14 @@ class Harness:
         assert self.sim.pending() == 0
         assert self.sim.events_dispatched == len(self.trace)
         assert self.scheduled == len(self.spec.records)
-        assert all(len(chain) == 0 for chain in self.chains)
 
 
 @settings(deadline=None)
 @given(program=st.lists(_op, max_size=60), telemetry=st.booleans())
-# found by this test: a chain append at the tail's time but a lower
-# priority used to queue behind the tail instead of firing before it
-@example(program=[("add", "chain0", 0.03, 0), ("add", "chain0", 0.03, -1)],
+# the link's tie rule leans on this: a lower priority scheduled later, at
+# the same instant, still fires first
+@example(program=[("add", "schedule_transient_at", 0.03, 0),
+                  ("add", "schedule_transient_at", 0.03, -1)],
          telemetry=False)
 def test_fired_trace_equals_specification(program, telemetry):
     # a low compaction threshold so short programs reach heap compaction

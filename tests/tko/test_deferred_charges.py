@@ -7,7 +7,9 @@ sites pushed an event whose callback did nothing — and the rendered
 closures already charged two of them, so the executors disagreed on
 event counts.  The frozen numbers below were read on ``32cb7ef`` (the
 parent of this change): CPU counters and the delivered bytes must not have
-moved, and the event count must be the old one minus those seven.
+moved, and the event count must be the old one minus those seven — and,
+since a hop became one kernel event, minus the two a link used to spend
+per frame on instants nothing observes.
 """
 
 import hashlib
@@ -27,6 +29,16 @@ PARENT = {
     "noop_completions": 7,  # 1 instantiate x 2 hosts, 2 send + 2 recv
                             # trailer charges, 1 app-boundary copy
 }
+
+#: What the same transfer dispatches with one event per hop, derived:
+#:   9 frames (5 A->B, 4 B->A) x 3 hops, one ``Link._land`` each      = 27
+#:   frames that found the wire busy, one ``Link._drain`` each        =  3
+#:   CPU completions: 9 transmit (``Network.send``), 9 NIC interrupt
+#:     (``handle_frame``), 9 demux (``_dispatch``), 8 ``_process``    = 35
+#:   timers that fire (every one armed is cancelled first)            =  0
+#: The three-event link spent 3 x 27 = 81 on the same hops:
+#: 81 + 35 = 116 = ``events`` - ``noop_completions``.
+EVENTS = 27 + 3 + 35
 
 
 @pytest.mark.parametrize("kind", EXECUTORS)
@@ -48,6 +60,6 @@ def test_two_fragment_trailer_transfer_dispatches_no_noop(kind, cpu_spy, executo
     digest = hashlib.sha256(bytes(w.delivered[0][0])).hexdigest()
     assert digest.startswith(PARENT["delivered_sha256"])
     # both executors agree, and on exactly the old count less the
-    # completions that did nothing
-    assert w.sim.events_dispatched == (
-        PARENT["events"] - PARENT["noop_completions"])
+    # completions that did nothing and the instants nothing observed
+    assert PARENT["events"] - PARENT["noop_completions"] == 3 * 27 + 35
+    assert w.sim.events_dispatched == EVENTS

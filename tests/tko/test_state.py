@@ -193,6 +193,33 @@ class TestReassembler:
         r.drop_partial(9)
         assert r.partial_count == 0
 
+    def test_duplicate_of_a_parked_fragment_displaces_and_retires_it(self):
+        # media_fault's last dropped shell: a retransmission (unpooled clone)
+        # of fragment 0 arrived while the pooled original was parked
+        from repro.tko.pdu import PDU_POOL, PduType
+
+        r = Reassembler()
+        original = PDU_POOL.acquire(PduType.DATA, conn_id=5)
+        original.seq, original.msg_id, original.frag_count = 1100, 7, 2
+        recycled0 = PDU_POOL.recycled
+        assert r.add(original) is None
+        assert r.add(original) is None and PDU_POOL.recycled == recycled0
+        clone = data(1100, msg_id=7, frag_index=0, frag_count=2)
+        assert r.add(clone) is None
+        assert PDU_POOL.recycled == recycled0 + 1
+        done = r.add(data(1101, msg_id=7, frag_index=1, frag_count=2))
+        assert done[0] is clone
+
+    def test_drain_hands_back_every_parked_fragment(self):
+        r = Reassembler()
+        parked = [data(0, msg_id=1, frag_index=0, frag_count=3),
+                  data(1, msg_id=1, frag_index=1, frag_count=3),
+                  data(5, msg_id=2, frag_index=1, frag_count=2)]
+        for pdu in parked:
+            r.add(pdu)
+        assert sorted(r.drain(), key=id) == sorted(parked, key=id)
+        assert r.partial_count == 0 and r.drain() == []
+
 
 class TestSessionStats:
     def test_latency_accounting(self):
