@@ -21,6 +21,8 @@ fast path: tracked + retransmit + Internet-checksum trailer):
 
 import time
 
+import pytest
+
 from repro.host.nic import Host
 from repro.mantts.acd import ACD
 from repro.mantts.monitor import NetworkState
@@ -104,6 +106,7 @@ def _run(cfg, general):
     return samples, identity, sender.executor.fast_sends
 
 
+@pytest.mark.timing
 def test_generated_send_latency(benchmark):
     TELEMETRY.disable()
     TELEMETRY.reset()

@@ -18,6 +18,8 @@ receiver buffering) yet matches SR's retransmission economy in the
 congested phase, and its segue log shows the switch *and* the restore.
 """
 
+import pytest
+
 from repro.core.system import AdaptiveSystem
 from repro.mantts.acd import ACD
 from repro.mantts.policies import congestion_switch_gbn_to_sr
@@ -74,6 +76,8 @@ def run_variant(tsa=(), force_recovery=None, seed=13):
     }
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Bug A below-window "
+                   "re-ACK loop, Bug B SR→GBN hand-over")
 def test_e3_congestion_recovery_switch(benchmark):
     def run():
         return {

@@ -18,6 +18,8 @@ medians, never as absolute microseconds.
 import statistics
 from time import perf_counter
 
+import pytest
+
 from repro.host.nic import Host
 from repro.mantts.acd import ACD
 from repro.mantts.monitor import NetworkState
@@ -115,7 +117,6 @@ def run_experiment():
     rows.append({"path": "stage I+II (host-side computation)",
                  "instructions": f"{stage12_us:.0f} us wall"})
     miss_s, hit_s = instantiation_host_time()
-    costs["host miss"], costs["host hit"] = miss_s, hit_s
     rows.append({"path": "stage III host time: template miss / hit",
                  "instructions": f"{miss_s * 1e6:.0f} / {hit_s * 1e6:.0f} us wall "
                                  f"(hit = {hit_s / miss_s:.2f} of a miss)"})
@@ -134,5 +135,10 @@ def test_fig2_transformation_stages(benchmark):
     static = costs["stage III: warm static template"]
     assert warm < cold / 2           # cache cuts configuration delay
     assert static < warm             # full customization is cheapest
-    # ... and a hit is cheaper than a miss on the machine running it too
-    assert costs["host hit"] < HIT_OVER_MISS_HOST_TIME * costs["host miss"]
+
+
+@pytest.mark.timing
+def test_fig2_template_hit_costs_the_host_less_than_a_miss():
+    """... and a hit is cheaper than a miss on the machine running it too."""
+    miss_s, hit_s = instantiation_host_time()
+    assert hit_s < HIT_OVER_MISS_HOST_TIME * miss_s

@@ -27,6 +27,8 @@ import inspect
 import textwrap
 import time
 
+import pytest
+
 from repro.core.scenario import PointToPointScenario
 from repro.netsim.profiles import fddi_100
 from repro.sim import kernel
@@ -105,6 +107,7 @@ def _workload(telemetry: bool, audit: bool = False):
     return elapsed, sim.events_dispatched, sim.now
 
 
+@pytest.mark.timing
 def test_obs_overhead_disabled_is_free(benchmark, monkeypatch):
     TELEMETRY.disable()
     TELEMETRY.reset()

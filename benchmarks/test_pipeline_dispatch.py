@@ -22,6 +22,8 @@ transform, 512-byte messages at a 50 Hz conference tick):
 
 import time
 
+import pytest
+
 from repro.host.nic import Host
 from repro.mantts.acd import ACD
 from repro.mantts.monitor import NetworkState
@@ -100,6 +102,7 @@ def _run(cfg, general):
     return wall / MESSAGES, identity
 
 
+@pytest.mark.timing
 def test_compiled_pipeline_send_is_faster(benchmark, executors):
     TELEMETRY.disable()
     TELEMETRY.reset()

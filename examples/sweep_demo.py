@@ -1,20 +1,113 @@
 """Multi-core scenario sweep — adaptive vs static across channel quality.
 
-Runs the demo grid from :mod:`repro.sweep.demo` (three transport variants
-× three bit-error rates) twice: serially, then sharded across all cores
-with :class:`repro.sweep.SweepRunner`.  Prints the campaign table, the
+Runs a demo grid (three transport variants × three bit-error rates) twice:
+serially, then sharded across all cores with
+:class:`repro.sweep.SweepRunner`.  Prints the campaign table, the
 serial/parallel wall-clock comparison, and verifies the determinism
 contract — the parallel results are bit-identical to the serial ones.
+
+The grid is a miniature of benchmark E9's architecture-level claim: a CBR
+media session over a 10 Mb/s segment swept across bit-error rates, once
+with a MANTTS loss-triggered adaptation policy active and once for each
+static configuration.  Plain GBN is lean on the clean channel but drowns
+in retransmissions as the BER climbs; always-on FEC repairs the lossy
+channel but pays its parity overhead everywhere; the adaptive session
+starts lean and switches to FEC only when the monitored channel BER
+crosses its threshold.
+
+The cell function is a module-level callable because worker processes
+unpickle it by reference: forked workers inherit this module, spawned ones
+re-import the script, which the ``__main__`` guard below allows.
 
 Run with:  PYTHONPATH=src python examples/sweep_demo.py
 """
 
 import os
+from typing import Any, Dict
 
+from repro.core.scenario import PointToPointScenario
+from repro.mantts.acd import ACD
+from repro.mantts.policies import TSARule
+from repro.mantts.qos import QualitativeQoS, QuantitativeQoS
+from repro.netsim.profiles import ethernet_10
 from repro.sweep import ScenarioSpec, SweepRunner
-from repro.sweep.demo import VARIANTS, adaptive_vs_static_cell
+from repro.tko.config import SessionConfig
 from repro.unites.present import render_table
 from repro.unites.repository import MetricRepository
+
+FRAME = 512
+FPS = 24
+
+#: static configurations, each tuned for one end of the BER range
+STATIC_VARIANTS = {
+    "static-gbn": dict(recovery="gbn", ack="cumulative",
+                       transmission="window-rate", rate_pps=float(FPS)),
+    "static-fec": dict(connection="implicit", recovery="fec-rs", ack="none",
+                       transmission="rate", rate_pps=float(FPS),
+                       fec_k=4, fec_r=2, sequencing="none"),
+}
+
+VARIANTS = ("adaptive",) + tuple(STATIC_VARIANTS)
+
+
+def ber_switch_to_fec(threshold: float = 2e-6) -> TSARule:
+    """Retransmission → FEC once the monitored channel BER crosses the bar."""
+    return TSARule(
+        metric="ber",
+        op=">",
+        threshold=threshold,
+        action="adjust-scs",
+        overrides=(
+            ("recovery", "fec-rs"),
+            ("ack", "none"),
+            ("transmission", "rate"),
+            ("rate_pps", float(FPS)),
+            ("fec_k", 4),
+            ("fec_r", 2),
+        ),
+        tag="ber->fec",
+    )
+
+
+def adaptive_vs_static_cell(variant: str, ber: float, seed: int = 11,
+                            duration: float = 8.0) -> Dict[str, Any]:
+    """One grid point: run ``variant`` over a channel with bit-error ``ber``."""
+    common = dict(
+        workload="video-cbr",
+        workload_kw={"fps": FPS, "frame_bytes": FRAME},
+        duration=duration,
+        seed=seed,
+        profile=ethernet_10().scaled(ber=ber),
+    )
+    if variant == "adaptive":
+        sc = PointToPointScenario(
+            acd=ACD(
+                participants=("B",),
+                quantitative=QuantitativeQoS(
+                    avg_throughput_bps=FRAME * 8 * FPS, duration=600,
+                    loss_tolerance=0.02, message_size=FRAME,
+                ),
+                qualitative=QualitativeQoS(ordered=False,
+                                           duplicate_sensitive=False),
+                service_port=7000,
+                tsa=(ber_switch_to_fec(threshold=2e-6),),
+            ),
+            **common,
+        )
+    else:
+        sc = PointToPointScenario(
+            config=SessionConfig(**STATIC_VARIANTS[variant]), **common
+        )
+    sc.run(duration)
+    m = sc.collect()
+    return {
+        "delivered_frac": (m["msgs_delivered"] / m["msgs_sent"]
+                           if m["msgs_sent"] else 0.0),
+        "mean_latency": m["mean_latency"],
+        "wire_bytes": m.get("wire_bytes", 0.0),
+        "reconfigs": m.get("reconfigurations", 0.0),
+    }
+
 
 SPEC = ScenarioSpec(
     name="adaptive-vs-static-ber",

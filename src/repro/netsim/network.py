@@ -1,19 +1,18 @@
 """Topology, routing, multicast groups, and the network-state view.
 
-The ``Network`` ties nodes and links into a ``networkx`` digraph, computes
-(and caches) shortest routes weighted by link latency, recomputes them when
-links fail or recover, and maintains multicast group membership.  It also
-exposes the aggregate state that the MANTTS Network Monitor Interface
-samples: per-path RTT estimates, bottleneck bandwidth, path MTU, and queue
-occupancy at intermediate nodes (the paper's negotiation "with intermediate
-switching nodes", §4.1.1).
+The ``Network`` ties nodes and links into a weighted digraph (a dict of
+successor dicts), computes (and caches) shortest routes weighted by link
+latency, recomputes them when links fail or recover, and maintains
+multicast group membership.  It also exposes the aggregate state that the
+MANTTS Network Monitor Interface samples: per-path RTT estimates,
+bottleneck bandwidth, path MTU, and queue occupancy at intermediate nodes
+(the paper's negotiation "with intermediate switching nodes", §4.1.1).
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.netsim.frame import Frame
 from repro.netsim.link import Link
@@ -26,13 +25,19 @@ from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 _ROUTE_PROBE_BYTES = 512
 
 
+def _route_weight(link: Link) -> float:
+    return link.delay + _ROUTE_PROBE_BYTES * 8.0 / link.bandwidth_bps
+
+
 class Network:
     """A simulated internetwork of switching nodes and hosts."""
 
     def __init__(self, sim: Simulator, rng: Optional[RngStreams] = None) -> None:
         self.sim = sim
         self.rng = rng or RngStreams(0)
-        self.graph = nx.DiGraph()
+        #: routing topology: node -> successor -> weight, up links only,
+        #: successors in link-insertion order
+        self._succ: Dict[str, Dict[str, float]] = {}
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         self.groups: Dict[str, set[str]] = {}
@@ -50,7 +55,7 @@ class Network:
             raise ValueError(f"duplicate node {name!r}")
         node = Node(self, name, switch_latency)
         self.nodes[name] = node
-        self.graph.add_node(name)
+        self._succ[name] = {}
         return node
 
     def add_link(
@@ -86,8 +91,7 @@ class Network:
             # fires when the far node has switched the frame
             link.far_latency = self.nodes[v].switch_latency
             self.links[(u, v)] = link
-            weight = delay + _ROUTE_PROBE_BYTES * 8.0 / bandwidth_bps
-            self.graph.add_edge(u, v, weight=weight)
+            self._succ[u][v] = _route_weight(link)
         self._route_cache.clear()
         self.topology_version += 1
 
@@ -115,12 +119,43 @@ class Network:
         key = (src, dst)
         if key in self._route_cache:
             return self._route_cache[key]
-        try:
-            path = nx.shortest_path(self.graph, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            path = None
-        self._route_cache[key] = path
+        path = self._route_cache[key] = self._shortest_path(src, dst)
         return path
+
+    def _shortest_path(self, src: str, dst: str) -> Optional[List[str]]:
+        """Dijkstra over the up links.
+
+        The tie rule, stated once: the heap pops the smaller distance
+        first and, among equal distances, the earlier push; a node's
+        predecessor changes only on a strictly smaller distance.  So of two
+        equal-cost paths the one through the earlier-inserted link wins.
+        """
+        succ = self._succ
+        if src not in succ or dst not in succ:
+            return None
+        dist = {src: 0.0}
+        prev: Dict[str, str] = {}
+        heap = [(0.0, 0, src)]
+        pushes = 1
+        while heap:
+            d, _, u = heappop(heap)
+            if d > dist[u]:
+                continue  # superseded by a later, shorter push
+            if u == dst:
+                path = [dst]
+                while u != src:
+                    u = prev[u]
+                    path.append(u)
+                path.reverse()
+                return path
+            for v, weight in succ[u].items():
+                nd = d + weight
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heappush(heap, (nd, pushes, v))
+                    pushes += 1
+        return None
 
     def next_hop(self, at: str, dst: str) -> Optional[str]:
         """The neighbour to which ``at`` forwards traffic bound for ``dst``."""
@@ -141,8 +176,7 @@ class Network:
         pairs = [(a, b), (b, a)] if bidirectional else [(a, b)]
         for u, v in pairs:
             self.links[(u, v)].fail()
-            if self.graph.has_edge(u, v):
-                self.graph.remove_edge(u, v)
+            self._succ[u].pop(v, None)
             _TELEMETRY.instant("link-fail", "netsim", link=f"{u}->{v}")
         self._route_cache.clear()
         self.topology_version += 1
@@ -153,8 +187,7 @@ class Network:
         for u, v in pairs:
             link = self.links[(u, v)]
             link.restore()
-            weight = link.delay + _ROUTE_PROBE_BYTES * 8.0 / link.bandwidth_bps
-            self.graph.add_edge(u, v, weight=weight)
+            self._succ[u][v] = _route_weight(link)
             _TELEMETRY.instant("link-restore", "netsim", link=f"{u}->{v}")
         self._route_cache.clear()
         self.topology_version += 1
@@ -172,9 +205,8 @@ class Network:
         for u, v in self._pairs(a, b, bidirectional):
             link = self.links[(u, v)]
             link.set_bandwidth(bandwidth_bps)
-            if self.graph.has_edge(u, v):
-                weight = link.delay + _ROUTE_PROBE_BYTES * 8.0 / link.bandwidth_bps
-                self.graph[u][v]["weight"] = weight
+            if v in self._succ[u]:
+                self._succ[u][v] = _route_weight(link)
         self._route_cache.clear()
         self.topology_version += 1
 

@@ -241,9 +241,6 @@ class Reassembler:
             return [parts[i] for i in range(pdu.frag_count)]
         return None
 
-    def drop_partial(self, msg_id: int) -> None:
-        self._partial.pop(msg_id, None)
-
     def drain(self) -> List[PDU]:
         """Hand back every parked fragment (session teardown)."""
         parked = [pdu for parts in self._partial.values()

@@ -15,6 +15,9 @@ backend         clock    use when
 
 See ``docs/transports.md`` for the full table, wire-format spec, and
 sim-vs-wall clock rules.
+
+``UdpBackend`` is resolved at first attribute access (PEP 562): its module
+imports ``asyncio``, which a simulated world never runs.
 """
 
 from repro.transport.base import (
@@ -30,7 +33,6 @@ from repro.transport.liveness import LivenessConfig, PeerLiveness
 from repro.transport.loopback import LoopbackBackend, loopback_pair
 from repro.transport.realtime import DriverWatchdog, RealtimeDriver, drive
 from repro.transport.sim import SimBackend
-from repro.transport.udp import UdpBackend
 
 __all__ = [
     "ECONNRESET",
@@ -52,3 +54,16 @@ __all__ = [
     "SimBackend",
     "UdpBackend",
 ]
+
+
+def __getattr__(name: str):
+    if name == "UdpBackend":
+        from repro.transport.udp import UdpBackend
+
+        globals()[name] = UdpBackend
+        return UdpBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

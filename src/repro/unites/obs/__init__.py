@@ -27,7 +27,9 @@ a repository); this subpackage adds the *systems* half:
   and its post-hoc analyzer (``python -m repro.unites.obs.flight``);
 * :mod:`repro.unites.obs.server` — a stdlib daemon-thread HTTP endpoint
   serving ``/metrics``, ``/healthz``, ``/connections``, and ``/audit``
-  from the live registries.
+  from the live registries; ``TelemetryServer`` is resolved at first
+  attribute access (PEP 562) so that ``http.server`` and ``email`` load
+  only in a process that serves.
 
 These modules are deliberate *leaves*: they import nothing from the rest of
 ``repro``, so the lowest substrate (``repro.sim.kernel``) can import the
@@ -52,7 +54,6 @@ from repro.unites.obs.audit import (
     QoSViolation,
 )
 from repro.unites.obs.flight import FlightRecorder, analyze as analyze_flight
-from repro.unites.obs.server import TelemetryServer
 
 __all__ = [
     "AUDIT",
@@ -78,3 +79,16 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+
+def __getattr__(name: str):
+    if name == "TelemetryServer":
+        from repro.unites.obs.server import TelemetryServer
+
+        globals()[name] = TelemetryServer
+        return TelemetryServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

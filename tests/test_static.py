@@ -1,8 +1,10 @@
 """Static checks ruff would make, for an image that does not ship ruff.
 
-One rule so far: no unused import under ``src/repro/`` (pyflakes F401).
+Two rules: no unused import under ``src/repro/`` (pyflakes F401;
 ``__init__.py`` files are re-export hubs and exempt, as in the
-``per-file-ignores`` of ``pyproject.toml``.
+``per-file-ignores`` of ``pyproject.toml``), and the heavy imports a
+simulated world never executes stay where they are deferred
+(``tests/test_import_surface.py`` counts what a cold process loads).
 """
 
 import ast
@@ -44,3 +46,36 @@ def test_no_unused_import_under_src():
     assert len(modules) > 50  # the walk found the package
     offenders = [hit for path in modules for hit in unused_imports(path)]
     assert not offenders, "\n".join(offenders)
+
+
+#: top-level module -> the one file under ``src/repro/`` that may import it
+#: (at module level or inside a function); ``None``: nowhere
+CONFINED = {
+    "networkx": None,
+    "asyncio": "transport/udp.py",
+    "http.server": "unites/obs/server.py",
+}
+
+
+def imported_modules(path: Path) -> set:
+    """Every dotted module name ``path`` imports, at any depth of nesting."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return found
+
+
+def test_heavy_imports_stay_confined():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        here = path.relative_to(SRC).as_posix()
+        for name in imported_modules(path):
+            for heavy, home in CONFINED.items():
+                if (name == heavy or name.startswith(heavy + ".")) and here != home:
+                    offenders.append(f"{here}: imports {name}")
+    assert not offenders, "\n".join(offenders)
+    for heavy, home in CONFINED.items():  # the rule still reads what it guards
+        assert home is None or heavy in imported_modules(SRC / home)

@@ -6,7 +6,9 @@ close), a delivery waiting for its playout point (``_deliver_app`` fires
 after it), fragments the reassembler parked until their message completes,
 and arrivals the reorder buffer holds for in-order release.  Each used to
 drop its pooled shell — and, on a real substrate, its slab lease — on the
-floor; together they were 5 of the shells ``media_fault`` "leaks".
+floor; together they were 5 of the shells ``media_fault`` "leaks".  A
+fifth is still open and pinned at the end of this file: the opening frame
+of a passive open whose ``on_session`` callback closes the session.
 
 Every scenario runs with the wire codec in the middle (encode, decode into
 a slab arena, as ``RealFabric`` does), so the receiver handles unpooled
@@ -14,6 +16,8 @@ PDUs whose messages hold slab leases while the sender's pooled shells
 cross the simulated network: at quiesce ``PDU_POOL`` must balance *and* the
 arena must hold no live lease.
 """
+
+import pytest
 
 from repro.host.cpu import Cpu
 from repro.netsim.frame import decode_frame, encode_frame
@@ -128,6 +132,36 @@ def test_arrival_held_for_ordering_when_the_session_closes():
     assert sorted(rx.recv_window.buffer) == [2, 3] and len(w.delivered) == 1
     rx.abort("closed with a gap")
     assert not rx.recv_window.buffer
+    w.quiesce_and_check(sender)
+
+
+def refused_passive_open():
+    """B's listener closes every session it is offered: ``_accept`` hands the
+    opening DATA PDU to a session ``on_session`` has already closed — the one
+    way the rendered ``handle_frame`` meets ``s._closed`` (a demuxed frame
+    finds no closed session: ``session_closed`` unbound it)."""
+    w = CodecWorld()
+    cfg = SessionConfig(**UNRELIABLE)
+    refused = []
+    w.pb.listen(7000, lambda pdu, frame: cfg,
+                lambda s: (s.close(), refused.append(s)))
+    sender = w.open(cfg)
+    sender.send(b"r" * 900)
+    w.sim.run(until=1.0)
+    return w, sender, refused
+
+
+def test_opening_frame_of_a_refused_passive_open_is_not_processed():
+    w, _, [rx] = refused_passive_open()
+    assert rx.closed and not w.pb.sessions
+    assert rx.stats.pdus_received == 0 and rx.stats.msgs_delivered == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the rendered "
+                   "handle_frame's closed-session exit returns without "
+                   "discard(), stranding the opening PDU's wire reference")
+def test_opening_frame_of_a_refused_passive_open_is_retired():
+    w, sender, _ = refused_passive_open()
     w.quiesce_and_check(sender)
 
 

@@ -187,12 +187,6 @@ class TestReassembler:
         assert r.add(data(3, msg_id=2, frag_index=1, frag_count=2)) is not None
         assert r.add(data(1, msg_id=1, frag_index=1, frag_count=2)) is not None
 
-    def test_drop_partial(self):
-        r = Reassembler()
-        r.add(data(0, msg_id=9, frag_index=0, frag_count=2))
-        r.drop_partial(9)
-        assert r.partial_count == 0
-
     def test_duplicate_of_a_parked_fragment_displaces_and_retires_it(self):
         # media_fault's last dropped shell: a retransmission (unpooled clone)
         # of fragment 0 arrived while the pooled original was parked
