@@ -17,7 +17,7 @@ from time import perf_counter
 
 from repro.core.churn import ChurnScenario, identity_fields, run_churn
 from tests import golden
-from tests.conftest import cpu_spy  # noqa: F401  (fixture)
+from tests.conftest import cpu_spy, leaks  # noqa: F401  (fixture)
 
 WALL_BOUND_S = 60.0
 
@@ -35,16 +35,8 @@ def test_1k_churn_under_wall_bound(cpu_spy):
     assert metrics["delivered"] > 0
     # deterministic counters
     assert completions and "noop" not in completions
-    system = scenario.system
-    owners = {f"session:{name}:{conn_id}"
-              for name, node in system.nodes.items()
-              for conn_id in node.protocol.sessions}
-    streams = {s for s in system.rng._streams if s.startswith("session:")}
-    # (every session ever opened used to leave one behind)
-    assert streams <= owners, f"streams without a live session: {streams - owners}"
-    for node in system.nodes.values():
-        rm = node.mantts.resources
-        assert (rm.reserved_bps, rm.reserved_buffer) == rm.recount()
+    # no stream, timer, table entry or ledger line outlives its session
+    assert leaks(scenario.system.check_quiescent()) == []
     print(f"\n1k churn: {wall:.2f}s wall, "
           f"{metrics['established']} established, "
           f"peak {metrics['peak_concurrent']} concurrent")

@@ -560,6 +560,8 @@ class GroupedChurnScenario:
             "delivery_digest": merge_conn_digests(digests),
             "final_time": round(self.sim.now, 9),
             "events_dispatched": self.sim.events_dispatched,
+            # per world: a shard worker's only voice is this dict
+            "quiescence": self.system.check_quiescent(),
         }
 
 

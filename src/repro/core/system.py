@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.host.cpu import CpuCosts
 from repro.host.nic import Host
 from repro.mantts.api import MANTTS
 from repro.mantts.resources import ResourceManager
+from repro.mechanisms.base import Mechanism
 from repro.netsim.network import Network
 from repro.sim.rng import RngStreams
+from repro.sim.timers import Timer
+from repro.tko.executor import CompiledExecutor
+from repro.tko.pdu import PDU_POOL
 from repro.tko.protocol import TKOProtocol
+from repro.tko.session import TKOSession
 from repro.tko.synthesizer import TKOSynthesizer
 from repro.tko.templates import TemplateCache
 from repro.unites.collect import UNITES
@@ -57,6 +62,8 @@ class AdaptiveSystem:
         self.unites = UNITES(self.sim)
         self.templates = TemplateCache()
         self.nodes: Dict[str, AdaptiveNode] = {}
+        #: the process-wide pool's books when this world began
+        self._pool0 = (PDU_POOL.acquired, PDU_POOL.recycled)
 
     # ------------------------------------------------------------------
     def attach_network(self, network: Network) -> Network:
@@ -130,6 +137,80 @@ class AdaptiveSystem:
                 mantts._release_unclaimed(key, ref)
         mantts.protocol.unlisten_all()
         self.network.detach_host(name)
+
+    # ------------------------------------------------------------------
+    def check_quiescent(self) -> List[str]:
+        """Named violations of "nothing outlives its session"; ``[]`` when
+        every connection is over and left nothing behind.
+
+        A world that is merely still busy — a connection open, a session
+        draining towards its close — is reported as ``not quiescent: …``;
+        every other line is a leak: a closed session that is not a
+        tombstone, a table entry or a pending kernel event that still
+        points at one, a ``session:*`` RNG stream nobody owns, a ledger
+        that does not balance.  (Signalling sessions live as long as their
+        host and are not connections.)
+        """
+        out: List[str] = []
+        open_rng_names = set()
+        for name, node in self.nodes.items():
+            mantts, manager = node.mantts, node.mantts.manager
+            for ref in sorted(set(mantts.connections) | set(manager.connections)):
+                conn = mantts.connections.get(ref) or manager.connections[ref]
+                if conn.lifecycle.failed or (
+                        conn.session is not None and conn.session.closed):
+                    out.append(f"connection table entry for ended connection {ref}")
+                else:
+                    out.append(f"not quiescent: connection {ref} is open")
+            tables = {
+                "port": node.host.ports.owners(),
+                "protocol": node.protocol.sessions.values(),
+                "peer-session": mantts._peer_sessions.values(),
+                "signalling": mantts._sig_sessions.values(),
+            }
+            found: Dict[int, tuple] = {}  # id(session) -> (session, tables)
+            for table, owners in tables.items():
+                for s in owners:
+                    if isinstance(s, TKOSession):  # not a listener
+                        found.setdefault(id(s), (s, []))[1].append(table)
+            for s, where in found.values():
+                label = f"{name}:{s.conn_id} (in table: {', '.join(where)})"
+                if not s.closed:
+                    open_rng_names.add(s._rng_name)
+                    if s._closing:
+                        out.append(f"not quiescent: session {label} is closing")
+                elif (s.executor.pipeline is not None or s._send_queue
+                      or s.timers is not None or s.state is not None
+                      or s.context.session is not None):
+                    out.append(f"closed session {label} is not a tombstone")
+                elif where != ["signalling"]:  # that one is replaced at next use
+                    out.append(f"table entry for closed session {label}")
+            rm = mantts.resources
+            if (rm.reserved_bps, rm.reserved_buffer) != rm.recount():
+                out.append(f"admission ledger of {name} disagrees with its table")
+        for fn in self.sim.pending_callbacks():
+            owner = getattr(fn, "__self__", None)
+            if isinstance(owner, Timer):  # an expiry: look at what it calls
+                fn = owner.fn
+                owner = getattr(fn, "__self__", None)
+            if (isinstance(owner, CompiledExecutor) and owner.s.closed) or (
+                    isinstance(owner, Mechanism) and owner.session is None):
+                out.append("pending event owned by a closed session: "
+                           f"{fn.__qualname__}")
+        for stream in sorted(self.rng._streams):
+            if stream.startswith("session:") and stream not in open_rng_names:
+                out.append(f"rng stream {stream} has no open owner")
+        # PDUs in flight are busyness while anything above is; a leak after
+        busy = "not quiescent: " if any(
+            v.startswith("not quiescent: ") for v in out) else ""
+        acquired = PDU_POOL.acquired - self._pool0[0]
+        recycled = PDU_POOL.recycled - self._pool0[1]
+        if acquired != recycled:
+            out.append(f"{busy}PDU_POOL: {acquired} acquired, {recycled} recycled")
+        arena = getattr(self.network, "arena", None)
+        if arena is not None and arena.live_leases:
+            out.append(f"{busy}slab arena holds {arena.live_leases} live leases")
+        return out
 
     # ------------------------------------------------------------------
     def enable_telemetry(self, max_records: Optional[int] = None):

@@ -163,6 +163,9 @@ class ManagedMonitor(NetworkMonitor):
       so samples that *are* delivered match the eager monitor's.
     """
 
+    __slots__ = ("manager", "conn", "started", "_started_at", "_next_tick",
+                 "_handle")
+
     def __init__(
         self,
         manager: "ConnectionManager",
@@ -211,6 +214,10 @@ class ManagedMonitor(NetworkMonitor):
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
+
+    def retire(self) -> None:
+        super().retire()  # also drops the hooks, which point back here
+        self.conn = None
 
     def poke(self) -> None:
         """Re-evaluate arming (a subscriber or policy rule changed)."""

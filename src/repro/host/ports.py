@@ -10,7 +10,7 @@ the session that owns it.  Lookups match the most specific binding first:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 ConnKey = Tuple[int, str, int]
 
@@ -79,6 +79,11 @@ class PortTable:
                     self._local_refs[local_port] = refs
                 else:
                     self._local_refs.pop(local_port, None)
+
+    def owners(self) -> Iterator[Any]:
+        """Every bound owner: connection tuples, then wildcard listeners."""
+        yield from self._connections.values()
+        yield from self._listeners.values()
 
     # ------------------------------------------------------------------
     def demux(self, local_port: int, remote_host: str, remote_port: int) -> Optional[Any]:

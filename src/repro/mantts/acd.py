@@ -79,7 +79,7 @@ class TMC:
             raise ValueError(f"unknown presentation {self.presentation!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ACD:
     """One application communication descriptor (Table 2)."""
 

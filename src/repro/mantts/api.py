@@ -468,6 +468,13 @@ class MANTTS:
 class AdaptiveConnection:
     """Application handle for one adaptive transport association."""
 
+    __slots__ = (
+        "mantts", "acd", "host", "ref", "on_deliver", "on_connected",
+        "on_closed", "on_notify", "on_failed", "binding", "default_policies",
+        "renegotiate", "tsc", "scs", "session", "monitor", "adaptation",
+        "policies", "group", "members", "reconfig_log", "lifecycle",
+    )
+
     def __init__(
         self,
         mantts: MANTTS,
@@ -506,7 +513,6 @@ class AdaptiveConnection:
         self.group: Optional[str] = None
         self.members: List[str] = []
         self.reconfig_log: List[Tuple[float, str]] = []
-        self._replies: Dict[str, dict] = {}
         #: establishment-phase state machine (Figure 2/3); terminal flags
         #: and in-flight buffering live there
         self.lifecycle = ConnectionLifecycle(self)
@@ -607,7 +613,7 @@ class AdaptiveConnection:
         new_scs = specify_scs(self.acd, state, tsc=tsc, binding=self.binding)
         self.tsc = tsc
         self.scs = new_scs
-        if self.session is None:
+        if self.session is None or self.session.closed:
             return False
         self.mantts.synthesizer.reconfigure(self.session, new_scs.config)
         self.reconfig_log.append((self.now, f"tsc->{tsc_name}"))
@@ -658,7 +664,7 @@ class AdaptiveConnection:
                 "group": self.group,
             },
         )
-        if self.session is not None:
+        if self.session is not None and not self.session.closed:
             self.session.context.delivery.membership_changed(list(self.members))
 
     def remove_member(self, member: str) -> None:
@@ -669,7 +675,7 @@ class AdaptiveConnection:
         self.mantts._send_signalling(
             member, {"type": "member-update", "group": self.group, "op": "leave"}
         )
-        if self.session is not None:
+        if self.session is not None and not self.session.closed:
             self.session.context.delivery.membership_changed(list(self.members))
 
     # ------------------------------------------------------------------
@@ -684,3 +690,15 @@ class AdaptiveConnection:
 
     def _fail(self, reason: str) -> None:
         self.lifecycle.fail(reason)
+
+    def _retire(self) -> None:
+        """Terminal (closed or failed): let go of whatever points back at
+        this handle, so reference counting frees it once the application
+        does.  A kept handle still answers ``session`` (a tombstone), ``acd``
+        / ``tsc`` / ``scs``, ``reconfig_log``, ``policies.firings``."""
+        if self.monitor is not None:
+            self.monitor.retire()
+            self.monitor = None
+        self.policies.connection = self.lifecycle.conn = None
+        self.on_deliver = self.on_connected = self.on_closed = None
+        self.on_notify = self.on_failed = None

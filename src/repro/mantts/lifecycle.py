@@ -37,6 +37,10 @@ class ConnectionLifecycle:
     in flight, and the telemetry spans covering setup and negotiation.
     """
 
+    __slots__ = ("conn", "renegotiated", "failed", "established",
+                 "reneg_active", "_reneg_attempts", "_setup_attempts",
+                 "pending_sends", "sent_refs", "setup_span", "nego_span")
+
     def __init__(self, conn: "AdaptiveConnection") -> None:
         self.conn = conn
         #: §4.1.1: on refusal, "allow the application to re-negotiate at a
@@ -321,13 +325,13 @@ class ConnectionLifecycle:
         """
         c = self.conn
         done = on_done if on_done is not None else (lambda ok: None)
-        session = c.session
+        session = c.session if c is not None else None
         if (
-            not self.established
+            session is None  # not instantiated yet, or the handle is retired
+            or not self.established
             or self.failed
             or self.reneg_active
             or c.group  # multicast renegotiation is out of scope
-            or session is None
             or session.closed
         ):
             done(False)
@@ -441,15 +445,15 @@ class ConnectionLifecycle:
             # session afterwards must not also fire on_closed
             return
         c = self.conn
-        if c.monitor is not None:
-            c.monitor.stop()
         c.mantts.connections.pop(c.ref, None)
         c.mantts.manager.connection_closed(c)
-        if c.on_closed is not None:
-            c.on_closed()
+        on_closed = c.on_closed
+        c._retire()
+        if on_closed is not None:
+            on_closed()
 
     def fail(self, reason: str) -> None:
-        if self.failed:
+        if self.failed or self.conn is None:
             return
         self.failed = True
         c = self.conn
@@ -457,8 +461,6 @@ class ConnectionLifecycle:
         self.setup_span.end(outcome="failed", reason=reason)
         if _AUDIT.enabled:
             _AUDIT.note_teardown(c.ref, reason)
-        if c.monitor is not None:
-            c.monitor.stop()
         if not self.established and self.sent_refs:
             # roll back any reservation a responder admitted for us: a
             # refused/timed-out open must not leave the remote ledger
@@ -476,5 +478,7 @@ class ConnectionLifecycle:
             self.sent_refs.clear()
         c.mantts.connections.pop(c.ref, None)
         c.mantts.manager.connection_failed(c)
-        if c.on_failed is not None:
-            c.on_failed(reason)
+        on_failed = c.on_failed
+        c._retire()
+        if on_failed is not None:
+            on_failed(reason)

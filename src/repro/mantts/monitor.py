@@ -25,7 +25,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkState:
     """One snapshot of a path's characteristics."""
 
@@ -111,6 +111,10 @@ class NetworkMonitor:
     #: EWMA smoothing factor for congestion/loss estimates
     ALPHA = 0.3
 
+    __slots__ = ("sim", "network", "src", "dst", "interval", "_congestion",
+                 "_loss", "_queue_delay", "_prev_counts", "samples",
+                 "on_sample", "_timer")
+
     def __init__(
         self,
         sim: Simulator,
@@ -140,6 +144,13 @@ class NetworkMonitor:
 
     def stop(self) -> None:
         self._timer.cancel()
+
+    def retire(self) -> None:
+        """Stop for good: the owner is gone, and so are the subscribers."""
+        self.stop()
+        del self.on_sample[:]  # in place: a ``_tick`` iterating it ends here
+        self.on_sample = []
+        self._timer.fn = None  # timer -> bound ``_tick`` -> self is a cycle
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:

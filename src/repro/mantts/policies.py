@@ -38,7 +38,7 @@ Condition = Tuple[str, str, float]
 Action = str
 
 
-@dataclass
+@dataclass(slots=True)
 class _RuleState:
     rule: TSARule
     was_true: bool = False
@@ -50,6 +50,8 @@ class PolicyEngine:
 
     #: minimum interval between firings of the same rule, seconds
     REFIRE_GUARD = 1.0
+
+    __slots__ = ("connection", "_rules", "firings")
 
     def __init__(self, connection: "AdaptiveConnection") -> None:
         self.connection = connection

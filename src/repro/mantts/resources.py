@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.host.nic import Host
 
 
-@dataclass
+@dataclass(slots=True)
 class Reservation:
     """One admitted session's resource commitment."""
 

@@ -22,7 +22,7 @@ from repro.mantts.tsc import TSC
 from repro.tko.config import SessionConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class SCS:
     """One session configuration specification."""
 

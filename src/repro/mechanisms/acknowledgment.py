@@ -29,6 +29,8 @@ SACK_LIMIT = 16
 class NoAck(Acknowledgment):
     """Never acknowledge."""
 
+    __slots__ = ()
+
     name = "none"
     SEND_COST = 0.0
     RECV_COST = 0.0
@@ -41,6 +43,8 @@ class NoAck(Acknowledgment):
 
 class CumulativeAck(Acknowledgment):
     """Immediate cumulative acknowledgment of every accepted PDU."""
+
+    __slots__ = ()
 
     name = "cumulative"
     SEND_COST = 0.0
@@ -67,6 +71,8 @@ class CumulativeAck(Acknowledgment):
 class DelayedAck(CumulativeAck):
     """Cumulative ACKs withheld up to ``ack_delay`` or every second PDU."""
 
+    __slots__ = ("_pending", "_timer")
+
     name = "delayed"
     RECV_COST = 40.0
     DISPATCH_RECV = 2
@@ -83,6 +89,7 @@ class DelayedAck(CumulativeAck):
     def unbind(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
+            self._timer = None  # timer -> bound method -> self is a cycle
         super().unbind()
 
     def on_data(self, pdu: PDU) -> None:
@@ -118,6 +125,8 @@ class DelayedAck(CumulativeAck):
 
 class SelectiveAck(CumulativeAck):
     """Cumulative + SACK vector of buffered out-of-order sequences."""
+
+    __slots__ = ()
 
     name = "selective"
     RECV_COST = 70.0

@@ -55,6 +55,8 @@ class StageSpec:
 class Mechanism(abc.ABC):
     """Common behaviour for all session mechanisms."""
 
+    __slots__ = ("session",)
+
     #: mechanism slot this class plugs into (one of TKOContext.SLOTS)
     category: ClassVar[str] = ""
     #: concrete mechanism name as it appears in a SessionConfig
@@ -138,6 +140,8 @@ class Mechanism(abc.ABC):
 class ConnectionManagement(Mechanism):
     """Root: establishing, maintaining, and terminating associations."""
 
+    __slots__ = ()
+
     category = "connection"
 
     @abc.abstractmethod
@@ -169,6 +173,8 @@ class ConnectionManagement(Mechanism):
 class TransmissionControl(Mechanism):
     """Root: when queued PDUs may enter the network (window / rate / both)."""
 
+    __slots__ = ()
+
     category = "transmission"
 
     @abc.abstractmethod
@@ -191,6 +197,8 @@ class TransmissionControl(Mechanism):
 
 class ErrorDetection(Mechanism):
     """Root: detecting corrupted PDUs (checksum family + placement)."""
+
+    __slots__ = ()
 
     category = "detection"
 
@@ -215,6 +223,8 @@ class ErrorDetection(Mechanism):
 class Acknowledgment(Mechanism):
     """Root: receiver-side acknowledgment generation policy."""
 
+    __slots__ = ()
+
     category = "ack"
 
     @abc.abstractmethod
@@ -230,6 +240,8 @@ class Acknowledgment(Mechanism):
 
 class ErrorRecovery(Mechanism):
     """Root: repairing loss — retransmission schemes and FEC."""
+
+    __slots__ = ()
 
     category = "recovery"
 
@@ -261,6 +273,9 @@ class ErrorRecovery(Mechanism):
     def note_data_received(self, pdu: "PDU") -> None:
         """Receiver hook: a DATA PDU arrived (FEC group bookkeeping)."""
 
+    #: receiver hook of schemes a *data* arrival can complete a repair for
+    repair_opportunity = None
+
     def outstanding_count(self) -> int:
         """Unacknowledged DATA PDUs held for possible retransmission."""
         return 0
@@ -268,6 +283,8 @@ class ErrorRecovery(Mechanism):
 
 class Delivery(Mechanism):
     """Root: unicast vs multicast addressing and ACK aggregation."""
+
+    __slots__ = ()
 
     category = "delivery"
 
@@ -290,6 +307,8 @@ class Delivery(Mechanism):
 
 class JitterControl(Mechanism):
     """Root: smoothing delivery-time variance before the application."""
+
+    __slots__ = ()
 
     category = "jitter"
 

@@ -18,6 +18,8 @@ from repro.mechanisms.base import Mechanism
 class BufferManagement(Mechanism):
     """Root of the buffer-representation hierarchy."""
 
+    __slots__ = ()
+
     category = "buffer"
     discipline: ClassVar[str] = "variable"
 
@@ -28,6 +30,8 @@ class BufferManagement(Mechanism):
 
 class FixedBuffers(BufferManagement):
     """Slab pools: cheap allocation, internal fragmentation."""
+
+    __slots__ = ()
 
     name = "fixed"
     discipline = "fixed"
@@ -40,6 +44,8 @@ class FixedBuffers(BufferManagement):
 
 class VariableBuffers(BufferManagement):
     """Exact-fit pools: no waste, costlier allocation path."""
+
+    __slots__ = ()
 
     name = "variable"
     discipline = "variable"

@@ -32,6 +32,8 @@ MAX_HANDSHAKE_RETRIES = 5
 class ImplicitConnection(ConnectionManagement):
     """Zero-handshake establishment with config piggybacked on first DATA."""
 
+    __slots__ = ("_connected", "_first_data_sent", "_closed")
+
     name = "implicit"
     SEND_COST = 15.0
     RECV_COST = 15.0
@@ -95,6 +97,8 @@ class ImplicitConnection(ConnectionManagement):
 class _ExplicitBase(ConnectionManagement):
     """Shared SYN machinery for the explicit handshake variants."""
 
+    __slots__ = ("state", "_retries", "_syn_timer")
+
     SEND_COST = 30.0
     RECV_COST = 30.0
 
@@ -103,6 +107,12 @@ class _ExplicitBase(ConnectionManagement):
         self.state = "closed"  # closed/syn-sent/syn-rcvd/open/fin-wait/closing
         self._retries = 0
         self._syn_timer = None
+
+    def unbind(self) -> None:
+        if self._syn_timer is not None:
+            self._syn_timer.cancel()
+            self._syn_timer = None  # timer -> bound method -> self is a cycle
+        super().unbind()
 
     @property
     def connected(self) -> bool:
@@ -171,6 +181,8 @@ class _ExplicitBase(ConnectionManagement):
 class Explicit2Way(_ExplicitBase):
     """SYN / SYN-ACK establishment (one round trip)."""
 
+    __slots__ = ()
+
     name = "explicit-2way"
     DISPATCH_SEND = 1
     DISPATCH_RECV = 2
@@ -200,6 +212,8 @@ class Explicit2Way(_ExplicitBase):
 
 class Explicit3Way(_ExplicitBase):
     """SYN / SYN-ACK / CONFIRM establishment (TCP-style three-way)."""
+
+    __slots__ = ()
 
     name = "explicit-3way"
     DISPATCH_SEND = 1

@@ -19,6 +19,8 @@ from repro.mechanisms.base import Delivery, StageSpec
 class UnicastDelivery(Delivery):
     """Single fixed peer."""
 
+    __slots__ = ()
+
     name = "unicast"
     SEND_COST = 10.0
     RECV_COST = 10.0
@@ -37,6 +39,8 @@ class UnicastDelivery(Delivery):
 
 class MulticastDelivery(Delivery):
     """Group-addressed frames with all-member ACK aggregation."""
+
+    __slots__ = ("group", "_members", "_join_seq", "_acked")
 
     name = "multicast"
     SEND_COST = 40.0

@@ -29,6 +29,8 @@ CHECKSUM16_MISS_P = 1.0 / 65536.0
 class NoDetection(ErrorDetection):
     """Accept everything — corrupted payloads reach the application."""
 
+    __slots__ = ()
+
     name = "none"
     SEND_COST = 0.0
     RECV_COST = 0.0
@@ -48,6 +50,8 @@ class NoDetection(ErrorDetection):
 
 class _ChecksumBase(ErrorDetection):
     """Shared placement/cost plumbing for real detection schemes."""
+
+    __slots__ = ("placement",)
 
     #: instructions per payload byte (software sum loop)
     PER_BYTE = 1.0
@@ -98,6 +102,8 @@ class _ChecksumBase(ErrorDetection):
 class InternetChecksum(_ChecksumBase):
     """RFC-1071 16-bit ones-complement checksum."""
 
+    __slots__ = ()
+
     name = "checksum"
     SEND_COST = 40.0
     RECV_COST = 40.0
@@ -110,6 +116,8 @@ class InternetChecksum(_ChecksumBase):
 
 class Crc32(_ChecksumBase):
     """CRC-32 — stronger and costlier than the Internet checksum."""
+
+    __slots__ = ()
 
     name = "crc32"
     SEND_COST = 40.0

@@ -44,6 +44,8 @@ def _payload_bytes(pdu: PDU) -> bytes:
 class _FecBase(ErrorRecovery):
     """Shared grouping/reconstruction machinery for the FEC family."""
 
+    __slots__ = ("_k", "_r", "_group", "_group_base", "_rx", "_rx_order")
+
     retransmits = False
     accept_out_of_order = True
     DISPATCH_SEND = 2
@@ -248,6 +250,8 @@ class _FecBase(ErrorRecovery):
 class FecXor(_FecBase):
     """Single-parity XOR groups: repairs one loss per k."""
 
+    __slots__ = ()
+
     name = "fec-xor"
     SEND_COST = 70.0
     RECV_COST = 30.0
@@ -274,6 +278,8 @@ class FecXor(_FecBase):
 
 class FecRS(_FecBase):
     """Reed-Solomon groups: repairs up to r losses per k."""
+
+    __slots__ = ()
 
     name = "fec-rs"
     SEND_COST = 100.0

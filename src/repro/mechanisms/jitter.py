@@ -18,6 +18,8 @@ from repro.tko.pdu import PDU
 class NoJitterControl(JitterControl):
     """Deliver as soon as complete."""
 
+    __slots__ = ()
+
     name = "none"
     SEND_COST = 0.0
     RECV_COST = 0.0
@@ -30,6 +32,8 @@ class NoJitterControl(JitterControl):
 
 class PlayoutBuffer(JitterControl):
     """Fixed-offset playout: release at ``origin_timestamp + playout_delay``."""
+
+    __slots__ = ("_delay",)
 
     name = "playout"
     SEND_COST = 5.0

@@ -29,6 +29,8 @@ FAST_RETRANSMIT_DUPS = 3
 class NoRecovery(ErrorRecovery):
     """Fire and forget — losses are final (datagram / media service)."""
 
+    __slots__ = ()
+
     name = "none"
     SEND_COST = 5.0
     RECV_COST = 5.0
@@ -49,6 +51,9 @@ class NoRecovery(ErrorRecovery):
 
 class _RetransmitBase(ErrorRecovery):
     """Shared timer/backoff/fast-retransmit machinery."""
+
+    __slots__ = ("_timer", "_dup_acks", "_last_ack_by_host", "_max_ack_seen",
+                 "_in_recovery")
 
     retransmits = True
     SEND_COST = 90.0
@@ -76,6 +81,7 @@ class _RetransmitBase(ErrorRecovery):
     def unbind(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
+            self._timer = None  # timer -> bound method -> self is a cycle
         super().unbind()
 
     def adopt(self, old: ErrorRecovery) -> None:
@@ -153,6 +159,8 @@ class GoBackN(_RetransmitBase):
     """Retransmit *everything* outstanding on loss; receiver keeps no
     out-of-order state."""
 
+    __slots__ = ()
+
     name = "gbn"
     accept_out_of_order = False
 
@@ -179,6 +187,8 @@ class GoBackN(_RetransmitBase):
 
 class SelectiveRepeat(_RetransmitBase):
     """Retransmit only PDUs not covered by cumulative ACK or SACK."""
+
+    __slots__ = ()
 
     name = "sr"
     accept_out_of_order = True

@@ -25,6 +25,8 @@ from repro.mechanisms.base import Mechanism
 class Sequencing(Mechanism):
     """Root of the sequencing hierarchy (policy flags + costs)."""
 
+    __slots__ = ()
+
     category = "sequencing"
     #: hold out-of-order messages until their predecessors arrive
     ordered: ClassVar[bool] = False
@@ -34,6 +36,8 @@ class Sequencing(Mechanism):
 
 class Unsequenced(Sequencing):
     """Arrival order, duplicates pass through."""
+
+    __slots__ = ()
 
     name = "none"
     SEND_COST = 5.0
@@ -47,6 +51,8 @@ class Unsequenced(Sequencing):
 class Ordered(Sequencing):
     """In-order release; duplicates of undelivered data tolerated."""
 
+    __slots__ = ()
+
     name = "ordered"
     SEND_COST = 10.0
     RECV_COST = 60.0
@@ -56,6 +62,8 @@ class Ordered(Sequencing):
 
 class OrderedDedup(Sequencing):
     """In-order release with duplicate suppression."""
+
+    __slots__ = ()
 
     name = "ordered-dedup"
     SEND_COST = 10.0

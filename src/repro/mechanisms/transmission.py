@@ -26,6 +26,8 @@ from repro.tko.pdu import PDU
 class NoTransmissionControl(TransmissionControl):
     """Unconstrained release — the underweight end of the design space."""
 
+    __slots__ = ()
+
     name = "none"
     SEND_COST = 10.0
     RECV_COST = 5.0
@@ -42,6 +44,8 @@ class NoTransmissionControl(TransmissionControl):
 class StopAndWait(TransmissionControl):
     """One PDU in flight at a time."""
 
+    __slots__ = ()
+
     name = "stop-and-wait"
     SEND_COST = 40.0
     RECV_COST = 30.0
@@ -55,6 +59,8 @@ class StopAndWait(TransmissionControl):
 
 class SlidingWindow(TransmissionControl):
     """Window-limited release: outstanding < min(own, peer advertisement)."""
+
+    __slots__ = ()
 
     name = "sliding-window"
     SEND_COST = 80.0
@@ -82,6 +88,8 @@ class SlidingWindow(TransmissionControl):
 
 class RateControl(TransmissionControl):
     """Pacing via an inter-PDU gap; the gap is the segue-adjustable knob."""
+
+    __slots__ = ("_rate", "_next_slot")
 
     name = "rate"
     SEND_COST = 60.0
@@ -126,6 +134,8 @@ class RateControl(TransmissionControl):
 
 class WindowRate(TransmissionControl):
     """Sliding window *and* rate pacing combined."""
+
+    __slots__ = ("_window", "_rate")
 
     name = "window-rate"
     SEND_COST = 110.0

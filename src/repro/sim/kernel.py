@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from time import perf_counter
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
@@ -199,8 +199,12 @@ class HierarchicalTimerWheel:
         """A parked event was cancelled: it is dead, O(1), no heap contact.
 
         The record stays in its bucket until the bucket drains — removing
-        it here would cost a bucket scan.
+        it here would cost a bucket scan — but lets go of its callback now:
+        a quiet world never drains a coarse bucket, and the dead record
+        would pin its timer's owner (a closed session) until it did.
         """
+        ev.fn = None
+        ev.args = ()
         ev.wheeled = False
         self.live -= 1
         self.cancelled_killed += 1
@@ -761,6 +765,18 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events."""
         return len(self._queue)
+
+    def pending_callbacks(self) -> Iterator[Callable[..., Any]]:
+        """Callbacks of all live events, unordered (``check_quiescent``)."""
+        q = self._queue
+        for _, _, _, fn, _, handle in q._heap:
+            if handle is None or not handle.cancelled:
+                yield fn
+        for buckets in q.wheel._buckets:
+            for bucket in buckets.values():
+                for ev in bucket:
+                    if not ev.cancelled:
+                        yield ev.fn
 
     # ------------------------------------------------------------------
     # convenience

@@ -95,6 +95,8 @@ class TimerWheel:
     on session teardown so no timer outlives the context it points into.
     """
 
+    __slots__ = ("sim", "_timers")
+
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self._timers: list[Timer] = []

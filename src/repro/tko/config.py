@@ -37,7 +37,7 @@ BUFFER_CHOICES = ("fixed", "variable")
 BINDING_CHOICES = ("dynamic", "reconfigurable", "static")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionConfig:
     """Complete mechanism selection + parameters for one session."""
 

@@ -4,8 +4,8 @@
 stats, lifecycle); the per-PDU *hot path* lives in the
 :class:`CompiledExecutor` every session constructs.  It executes the
 :class:`~repro.tko.pipeline.CompiledPipeline`: closed-form per-PDU
-charges, mechanism entry points pre-bound at compile time (no dict/
-``__getattr__`` walk per PDU), telemetry behind ``TELEMETRY.enabled``
+charges, mechanisms read off the context's slots (one load each, no dict
+or ``__getattr__`` walk per PDU), telemetry behind ``TELEMETRY.enabled``
 guards, and free-listed DATA/ACK shells from
 :data:`repro.tko.pdu.PDU_POOL` when the configuration is pool-safe.
 
@@ -27,6 +27,7 @@ name :mod:`repro.tko.session` constructs.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Tuple
 
 from repro.netsim.frame import Frame, PRIO_CONTROL
@@ -44,76 +45,59 @@ if TYPE_CHECKING:  # pragma: no cover
 class CompiledExecutor:
     """Executes the compiled pipeline: flat stages, closed-form charges.
 
-    ``recompile`` pre-binds every mechanism entry point the hot path needs
-    (one attribute load per PDU instead of a ``__getattr__`` dict walk per
-    slot access) and caches the pipeline's scalar charges.  Segue calls
-    :meth:`refresh_slot`, which recompiles only the swapped stage's spec
-    and re-splices — ``adopt()`` has already transferred mechanism state.
+    It keeps nothing per mechanism: the general route reads each one off
+    the context's slots and the policy constants (``ordered``, ``dedup``,
+    …) off the shared pipeline.  Segue calls :meth:`refresh_slot`, which
+    recompiles only the swapped stage's spec and re-splices — ``adopt()``
+    has already transferred mechanism state.
 
     ``send`` / ``handle_frame`` below run at a session's *first use* of
     that direction: they bind the rendered closure, install it as an
     *instance attribute* — shadowing themselves for every later caller
     that goes through ``session.executor.send`` / ``.handle_frame`` — and
     run it.  ``recompile`` deletes the installed attributes, so the next
-    use binds afresh against the new pipeline.
+    use binds afresh against the new pipeline.  Those two are the only
+    entries the instance ``__dict__`` ever holds.
     """
+
+    __slots__ = ("s", "pipeline", "fast_sends", "__dict__")
 
     #: whether this executor's sessions may draw DATA/ACK shells from the pool
     pools_pdus = True
-    #: how many sends the rendered closure served itself (vs handing to
-    #: :meth:`general_send`); counted on the instance, across invalidations
-    fast_sends = 0
 
     def __init__(self, session: "TKOSession") -> None:
         self.s = session
+        self.pipeline = None
+        #: how many sends the rendered closure served itself (vs handing to
+        #: :meth:`general_send`); counted across invalidations
+        self.fast_sends = 0
 
     # -- compilation -----------------------------------------------------
     def recompile(self, reason: str, specs=None, shared=None) -> None:
-        """(Re)build the pipeline and the prebound entry points.
+        """(Re)build the pipeline; what was rendered from the old one goes.
 
         ``specs`` is a template's cached stage table and ``shared`` its
         finished pipeline for this host (see ``compile_pipeline``).
         """
-        s = self.s
-        self.pipeline = pipe = compile_pipeline(s, specs, reason, shared)
-        ctx = s.context
-        self._conn = ctx.connection
-        tx = ctx.transmission
-        self._tx = tx
-        self._tx_can_send = tx.can_send
-        self._tx_send_gap = tx.send_gap
-        self._tx_on_send = tx.on_send
-        self._tx_on_ack = tx.on_ack
-        det = ctx.detection
-        self._det = det
-        self._det_attach = det.attach
-        self._det_verify = det.verify
-        rec = ctx.recovery
-        self._rec = rec
-        self._rec_on_send = rec.on_send
-        self._rec_on_ack = rec.on_ack
-        self._rec_note = rec.note_data_received
-        self._rec_repair = rec.on_receive_repair
-        self._rec_repair_opp = getattr(rec, "repair_opportunity", None)
-        self._accept_ooo = rec.accept_out_of_order
-        self._retransmits = rec.retransmits
-        ack = ctx.ack
-        self._ack_mech = ack
-        self._ack_on_data = ack.on_data
-        self._ack_on_gap = ack.on_gap
-        seqm = ctx.sequencing
-        self._ordered = seqm.ordered
-        self._dedup = seqm.dedup
-        dlv = ctx.delivery
-        self._frame_dst = dlv.frame_dst
-        self._destinations = dlv.destinations
-        self._ack_complete = dlv.ack_complete
-        jit = ctx.jitter
-        self._jit = jit
-        self._jit_delay = jit.release_delay
-        self._track = pipe.track_outstanding
-        self.__dict__.pop("send", None)
-        self.__dict__.pop("handle_frame", None)
+        if self.pipeline is not None:
+            self._unrender()
+        self.pipeline = compile_pipeline(self.s, specs, reason, shared)
+
+    def _unrender(self) -> None:
+        # not ``__dict__.pop``: that materialises a dict on every instance
+        for name in ("send", "handle_frame"):
+            try:
+                delattr(self, name)
+            except AttributeError:
+                pass  # that direction was never used
+
+    def retire(self, closed: "TKOSession") -> None:
+        """Torn down: keep ``fast_sends`` only, and point at ``closed`` (a
+        closed session that is nobody's) so the session ↔ executor cycle is
+        gone and every late entry still meets its closed-session exit."""
+        self._unrender()
+        self.pipeline = None
+        self.s = closed
 
     def refresh_slot(self, slot: str, reason: str = "segue") -> None:
         """One mechanism was swapped; recompile that stage only."""
@@ -130,6 +114,8 @@ class CompiledExecutor:
 
     # -- send path -------------------------------------------------------
     def send(self, data: bytes) -> int:
+        if self.s._closed:
+            return self.general_send(data)  # raises; a tombstone renders nothing
         self.send = fn = codegen(self)[1](self)
         codegen_stats["installed"] += 1
         return fn(data)
@@ -159,8 +145,8 @@ class CompiledExecutor:
         msg = TKOMessage(data, meter=s.copy_meter)
         seg = s.segment_size()  # per-send: the path MTU can change under us
         total = msg.data_length
-        piggyback = self._conn.piggyback_config()
-        queue = s._send_queue
+        piggyback = s.context.connection.piggyback_config()
+        queue = self._queue()
         if 0 < total <= seg:
             # single-fragment fast path: the message *is* the payload, so
             # skip the split/take machinery entirely (frag 0 of 1 is what
@@ -191,16 +177,23 @@ class CompiledExecutor:
             queue.append(pdu)
         self.pump()
 
+    def _queue(self) -> deque:
+        """The send queue, made by the first PDU that has to wait in it."""
+        s = self.s
+        queue = s._send_queue
+        if queue.__class__ is not deque:
+            queue = s._send_queue = deque()
+        return queue
+
     def pump(self) -> None:
         s = self.s
-        if s._closed or s._paused or not self._conn.connected:
+        if s._closed or s._paused or not s.context.connection.connected:
             return
         queue = s._send_queue
         if queue:
-            can_send = self._tx_can_send
-            send_gap = self._tx_send_gap
-            while queue and can_send():
-                gap = send_gap()
+            tx = s.context.transmission
+            while queue and tx.can_send():
+                gap = tx.send_gap()
                 if gap > 0:
                     self._schedule_pump(gap)
                     return
@@ -222,17 +215,19 @@ class CompiledExecutor:
         s = self.s
         now = s.sim.now
         pdu.timestamp = now
-        tracked = self._track
+        tracked = self.pipeline.track_outstanding
         if tracked:
             s.state.track(SendEntry(pdu, first_sent=now, last_sent=now))
+        ctx = s.context
+        rec = ctx.recovery
         if _TELEMETRY.enabled:
-            self._rec.count_invoke("encode")
-            with self._rec.invoke_span("encode"):
-                extras = self._rec_on_send(pdu)
-            self._tx.count_invoke("on_send")
+            rec.count_invoke("encode")
+            with rec.invoke_span("encode"):
+                extras = rec.on_send(pdu)
+            ctx.transmission.count_invoke("on_send")
         else:
-            extras = self._rec_on_send(pdu)
-        self._tx_on_send(pdu)
+            extras = rec.on_send(pdu)
+        ctx.transmission.on_send(pdu)
         self.transmit(pdu, False)
         if not tracked and pdu.pooled:
             pdu.release()  # creator ref; tracked entries keep it until ACKed
@@ -243,16 +238,17 @@ class CompiledExecutor:
         s = self.s
         if s._closed:
             return
+        ctx = s.context
         if _TELEMETRY.enabled:
-            self._det.count_invoke("attach")
-        self._det_attach(pdu)
+            ctx.detection.count_invoke("attach")
+        ctx.detection.attach(pdu)
         pipe = self.pipeline
         stats = s.stats
         if pdu.ptype is PduType.DATA:
             n = pdu.data_size
             critical = pipe.send_base + pipe.send_per_byte * n + pipe.send_dispatch
             deferred = pipe.send_def_fixed + pipe.send_def_per_byte * n
-            dst = self._frame_dst()
+            dst = ctx.delivery.frame_dst()
             priority = pipe.data_priority
             stats.data_bytes_sent += n
         else:
@@ -301,6 +297,9 @@ class CompiledExecutor:
 
     # -- receive path ----------------------------------------------------
     def handle_frame(self, pdu: PDU, frame: Frame) -> None:
+        if self.s._closed:
+            # refused by its listener's ``on_session``: retire the frame
+            return self._process(pdu, frame)
         self.handle_frame = fn = codegen(self)[2](self)
         codegen_stats["installed"] += 1
         fn(pdu, frame)
@@ -316,9 +315,10 @@ class CompiledExecutor:
         s.stats.pdus_received += 1
         if s.observers:
             s._notify("pdu-received", pdu=pdu, corrupted=frame.corrupted)
+        ctx = s.context
         if _TELEMETRY.enabled:
-            self._det.count_invoke("verify")
-        if not self._det_verify(pdu, frame.corrupted):
+            ctx.detection.count_invoke("verify")
+        if not ctx.detection.verify(pdu, frame.corrupted):
             if s.observers:
                 s._notify("pdu-rejected", pdu=pdu)
             pdu.discard()
@@ -331,7 +331,7 @@ class CompiledExecutor:
             if pdu.pooled:
                 pdu.release()
         elif t is PduType.PARITY:
-            for rebuilt in self._rec_repair(pdu):
+            for rebuilt in ctx.recovery.on_receive_repair(pdu):
                 self._handle_data(rebuilt)
             pdu.discard()  # the repair window copied the shard out
         elif t is PduType.PROBE:
@@ -342,30 +342,38 @@ class CompiledExecutor:
             if s.on_signalling is not None:
                 s.on_signalling(pdu)
         else:
-            self._conn.handle_control(pdu)
+            ctx.connection.handle_control(pdu)
 
     def _handle_data(self, pdu: PDU) -> None:
         s = self.s
+        if s._closed:
+            # closed by ``on_deliver`` with a repaired group half handed over
+            pdu.discard()
+            return
         buf = s.host.buffers.alloc(max(1, pdu.wire_size))
         if buf is None:
             s.stats.buffer_drops += 1
             pdu.discard()
             return
         s._pdu_buffers[pdu.id] = buf
-        self._rec_note(pdu)
+        ctx = s.context
+        rec = ctx.recovery
+        ack = ctx.ack
+        pipe = self.pipeline
+        rec.note_data_received(pdu)
         deliverable, accepted, gap = s.recv_window.accept(
             pdu,
-            accept_ooo=self._accept_ooo,
-            ordered=self._ordered,
-            dedup=self._dedup,
+            accept_ooo=pipe.accept_out_of_order,
+            ordered=pipe.ordered,
+            dedup=pipe.dedup,
         )
         if gap:
-            self._ack_on_gap(pdu)
+            ack.on_gap(pdu)
             self._arm_gap_timer()
         if accepted:
             if _TELEMETRY.enabled:
-                self._ack_mech.count_invoke("on_data")
-            self._ack_on_data(pdu)
+                ack.count_invoke("on_data")
+            ack.on_data(pdu)
         else:
             # discarded (GBN out-of-order / duplicate): release its buffer
             self._release_buffer(pdu)
@@ -374,13 +382,13 @@ class CompiledExecutor:
                 # it was lost on the way back.  Re-acknowledge now (TCP's
                 # segment-below-window rule) or the sender retransmits a
                 # delivered PDU all the way to its give-up limit.
-                self._ack_on_gap(pdu)
+                ack.on_gap(pdu)
         for out in deliverable:
             self._deliver_pdu(out)
         # a data arrival can complete an FEC group whose parity came first
         # (FEC senders never pool, so ``pdu`` is always intact here)
-        repair = self._rec_repair_opp
-        if repair is not None:
+        repair = rec.repair_opportunity
+        if repair is not None and not s._closed:
             for rebuilt in repair(pdu):
                 self._handle_data(rebuilt)
         if not accepted:
@@ -394,6 +402,11 @@ class CompiledExecutor:
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
+        if s._closed:
+            # closed by ``on_deliver`` part-way through a release of
+            # several PDUs: the rest end as ``_teardown`` ends parked ones
+            pdu.discard()
+            return
         frags = s.reassembler.add(pdu)
         self._release_buffer(pdu)
         if frags is None:
@@ -410,9 +423,10 @@ class CompiledExecutor:
         for f in frags[1:]:
             if f.pooled:
                 f.release()  # payload now referenced by ``combined``
+        jitter = s.context.jitter
         if _TELEMETRY.enabled:
-            self._jit.count_invoke("release_delay")
-        delay = self._jit_delay(first)
+            jitter.count_invoke("release_delay")
+        delay = jitter.release_delay(first)
         if delay > 0:
             s.sim.schedule(delay, self._deliver_app, combined, first)
         else:
@@ -452,30 +466,31 @@ class CompiledExecutor:
     def handle_ack(self, pdu: PDU, from_host: str) -> None:
         s = self.s
         s.stats.acks_received += 1
+        ctx = s.context
+        rec = ctx.recovery
         if _TELEMETRY.enabled:
-            self._tx.count_invoke("on_ack")
-            self._rec.count_invoke("on_ack")
-        self._tx_on_ack(pdu)
+            ctx.transmission.count_invoke("on_ack")
+            rec.count_invoke("on_ack")
+        ctx.transmission.on_ack(pdu)
         outstanding = s.state.outstanding
         if pdu.ack is not None:
             ack = pdu.ack
+            delivery = ctx.delivery
             for seq in [q for q in outstanding if q < ack]:
-                if self._ack_complete(seq, from_host):
+                if delivery.ack_complete(seq, from_host):
                     self.finalize_ack(seq)
-        if s._closed:
-            # this ack completed a pending close (finalize_ack ->
-            # _maybe_finish_close tears the session down synchronously
-            # under non-blocking connection management); the mechanisms
-            # are unbound now, so the pdu has nothing left to drive
-            return
+                    if s._closed:
+                        # this ack completed a pending close (torn down
+                        # synchronously): the pdu has nothing left to drive
+                        return
         if pdu.sack:
-            destinations = set(self._destinations())
+            destinations = set(ctx.delivery.destinations())
             for seq in pdu.sack:
                 entry = outstanding.get(seq)
                 if entry is not None:
                     entry.sacked_by.add(from_host)
                     entry.sacked = entry.sacked_by >= destinations
-        self._rec_on_ack(pdu, from_host)
+        rec.on_ack(pdu, from_host)
         self.pump()
 
     def finalize_ack(self, seq: int) -> None:
@@ -495,11 +510,16 @@ class CompiledExecutor:
         s._maybe_finish_close()
 
     def _arm_gap_timer(self) -> None:
-        if self._retransmits or not self._ordered:
+        pipe = self.pipeline
+        if pipe.retransmits or not pipe.ordered:
             return
         s = self.s
-        if not s._gap_timer.armed:
-            s._gap_timer.schedule(s.cfg.gap_timeout)
+        timer = s._gap_timer
+        if timer is None:
+            # only ordered delivery without retransmission ever owns one
+            timer = s._gap_timer = s.timers.timer(self.gap_timeout)
+        if not timer.armed:
+            timer.schedule(s.cfg.gap_timeout)
 
     def gap_timeout(self) -> None:
         s = self.s
@@ -508,5 +528,5 @@ class CompiledExecutor:
             s.stats.gap_skips += 1
         for pdu in released:
             self._deliver_pdu(pdu)
-        if s.recv_window.buffer:
+        if not s._closed and s.recv_window.buffer:
             s._gap_timer.schedule(s.cfg.gap_timeout)

@@ -27,6 +27,10 @@ and rides on it (``CompiledPipeline.codegen``, shared through the
 template cache); what is per-session is bound **at first use**, per
 direction, by the executor.  A session that never sends never pays for a
 send closure, and ``recompile`` only *invalidates* what is installed.
+
+The per-session half is bound as the rendered function's *default
+arguments* (one tuple per function, not one cell object per name), and
+only what the body for this shape reads is bound.
 """
 
 from __future__ import annotations
@@ -84,21 +88,21 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
             "        peer = state.peer_window\n"
             "        win = WIN if peer is None or WIN < peer else peer\n"
             "        if len(outstanding) >= win:\n"
-            "            queue.append(pdu)\n"
+            "            exe._queue().append(pdu)\n"
             "            return msg_id\n"
         )
     elif tx_kind == "stop-and-wait":
         can_send_block = (
             "        if outstanding:\n"
-            "            queue.append(pdu)\n"
+            "            exe._queue().append(pdu)\n"
             "            return msg_id\n"
         )
     elif tx_kind in ("rate", "none"):
         can_send_block = ""  # can_send() is constant True
     else:
         can_send_block = (
-            "        if not can_send():\n"
-            "            queue.append(pdu)\n"
+            "        if not tx.can_send():\n"
+            "            exe._queue().append(pdu)\n"
             "            return msg_id\n"
         )
     if tx_kind in ("window-rate", "rate"):
@@ -106,8 +110,8 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
             "        now = sim._now\n"
             "        gap = rate_obj._next_slot - now\n"
             "        if gap > 0.0:\n"
-            "            queue.append(pdu)\n"
-            "            schedule_pump(gap)\n"
+            "            exe._queue().append(pdu)\n"
+            "            exe._schedule_pump(gap)\n"
             "            return msg_id\n"
         )
         now_block = ""  # ``now`` already bound by the gap inline
@@ -121,17 +125,17 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
         tx_on_send_block = ""  # base on_send is a no-op
     else:
         gap_block = (
-            "        gap = send_gap()\n"
+            "        gap = tx.send_gap()\n"
             "        if gap > 0:\n"
-            "            queue.append(pdu)\n"
-            "            schedule_pump(gap)\n"
+            "            exe._queue().append(pdu)\n"
+            "            exe._schedule_pump(gap)\n"
             "            return msg_id\n"
         )
         now_block = "        now = sim._now\n"
-        tx_on_send_block = "        tx_on_send(pdu)\n"
+        tx_on_send_block = "        tx.on_send(pdu)\n"
 
     track_block = (
-        "        state_track(SendEntry(pdu, first_sent=now, last_sent=now))\n"
+        "        outstanding[seq] = SendEntry(pdu, first_sent=now, last_sent=now)\n"
         if track else ""
     )
 
@@ -140,17 +144,17 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
         rec_block = (
             "        ev = rec_timer._event\n"
             "        if ev is None or ev.cancelled:\n"
-            "            rec_timer.schedule(rtt.rto)\n"
+            "            rec_timer.schedule(s.rtt.rto)\n"
         )
         extras_loop = ""
     elif rec_kind == "norecovery":
         rec_block = ""
         extras_loop = ""
     else:
-        rec_block = "        extras = rec_on_send(pdu)\n"
+        rec_block = "        extras = rec.on_send(pdu)\n"
         extras_loop = (
             "        for extra in extras:\n"
-            "            exe_transmit(extra, False)\n"
+            "            exe.transmit(extra, False)\n"
         )
 
     # -- error detection: attach -----------------------------------------
@@ -161,7 +165,7 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
         )
     elif det_kind == "checksum":
         det_block = (
-            "        pdu.checksum = det_compute(pdu)\n"
+            "        pdu.checksum = det._compute(pdu)\n"
             "        pdu.checksum_placement = DET_PLACEMENT\n"
         )
     elif det_kind == "nodetect":
@@ -170,7 +174,7 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
             "        pdu.checksum_placement = None\n"
         )
     else:
-        det_block = "        det_attach(pdu)\n"
+        det_block = "        det.attach(pdu)\n"
 
     release_block = (
         "" if track else
@@ -180,65 +184,68 @@ def _send_source(track: bool, compact: bool, send_deferred: bool,
     deferred_block = (
         "        deferred = DF + DPB * n\n"
         "        if deferred > 0.0:\n"
-        "            cpu_charge(deferred)\n"
+        "            cpu.charge(deferred)\n"
         if send_deferred else ""
     )
     size_expr = (
         "FSIZE + n + pdu.aux_size" if compact
         else "FSIZE + OPT * len(pdu.options) + n + pdu.aux_size"
     )
-    # -- what only the session can supply, read off its executor --------
-    mech_binds = {
-        "window-rate": "    rate_obj = exe._tx._rate\n",
-        "rate": "    rate_obj = exe._tx\n",
-    }.get(tx_kind, "")
+    # -- what only the session can supply, beside ``s`` and ``exe``:
+    # (name, expression), bound once in ``make_send`` as default arguments
+    binds = [
+        ("conn", "ctx.connection"), ("dlv", "ctx.delivery"), ("host", "s.host"),
+        ("net", "host.network"), ("cpu", "host.cpu"), ("net_send", "net.send"),
+        ("sim", "s.sim"), ("state", "s.state"), ("stats", "s.stats"),
+        ("layers", "s.protocol.layers if s.protocol is not None else ()"),
+        ("seg_cell", "[-1, 0]"),
+        ("seg_cached", "hasattr(net, 'topology_version')"),
+    ]
+    if track or tx_kind in ("window-rate", "sliding-window", "stop-and-wait"):
+        binds.append(("outstanding", "state.outstanding"))
+    if tx_kind in ("window-rate", "sliding-window"):
+        binds.append(("WIN", "s.cfg.window"))
+    if tx_kind == "window-rate":
+        binds.append(("rate_obj", "ctx.transmission._rate"))
+    elif tx_kind == "rate":
+        binds.append(("rate_obj", "ctx.transmission"))
+    elif tx_kind == "generic":
+        binds.append(("tx", "ctx.transmission"))
     if rec_kind == "retransmit":
-        mech_binds += "    rec_timer = exe._rec._timer; rtt = s.rtt\n"
-    if det_kind == "checksum":
-        mech_binds += "    det_compute = exe._det._compute\n"
+        binds.append(("rec_timer", "ctx.recovery._timer"))
+    elif rec_kind == "generic":
+        binds.append(("rec", "ctx.recovery"))
+    if det_kind in ("checksum", "generic"):
+        binds.append(("det", "ctx.detection"))
+    bind_lines = "".join(f"    {name} = {expr}\n" for name, expr in binds)
+    defaults = ", ".join(f"{name}={name}" for name, _ in binds)
     return f"""\
 def make_send(exe):
-    s = exe.s; sim = s.sim; conn = exe._conn; host = s.host
-    net = host.network; cpu = host.cpu
-    general_send = exe.general_send
-    state = s.state; state_track = state.track
-    outstanding = state.outstanding; WIN = s.cfg.window
-    rec_on_send = exe._rec_on_send; tx_on_send = exe._tx_on_send
-    det_attach = exe._det_attach; frame_dst = exe._frame_dst
-    can_send = exe._tx_can_send; send_gap = exe._tx_send_gap
-    pb_fn = conn.piggyback_config
-    cpu_submit = cpu.submit; cpu_charge = cpu.charge; net_send = net.send
-    exe_transmit = exe.transmit; schedule_pump = exe._schedule_pump
-    seg_cell = [-1, 0]; seg_fn = s.segment_size
-    seg_cached = hasattr(net, 'topology_version')
-    layers = s.protocol.layers if s.protocol is not None else ()
-{mech_binds}    CONN = s.conn_id; SP = s.local_port; DP = s.remote_port
-    HOSTNAME = host.name; meter = s.copy_meter
-    queue = s._send_queue; stats = s.stats
-
-    def generated_send(data):
+    s = exe.s; ctx = s.context
+{bind_lines}
+    def generated_send(data, s=s, exe=exe, {defaults}):
         # anything the fast path does not specialize for takes the
         # general route, before any state is consumed
         if (telemetry.enabled or s.observers or layers
                 or s._paused or s._closing or s._closed
-                or not conn.connected or queue):
+                or not conn.connected or s._send_queue):
             # graph *layers* force the fallback; a bare protocol mux with
             # an empty graph egresses exactly like host.transmit, which
             # the fast path inlines below
-            return general_send(data)
+            return exe.general_send(data)
         n = len(data)
         if seg_cached:
             tv = net.topology_version
             if tv != seg_cell[0]:
-                seg_cell[1] = seg_fn()
+                seg_cell[1] = s.segment_size()
                 seg_cell[0] = tv
             seg = seg_cell[1]
         else:
-            seg = seg_fn()
+            seg = s.segment_size()
         if data.__class__ is not bytes or not 0 < n <= seg:
             # mutable buffers take the general route (its ctor snapshots
             # them); wire-size bytes are wrapped below without a copy
-            return general_send(data)
+            return exe.general_send(data)
         exe.fast_sends += 1
         msg_id = next(msg_counter)
         stats.msgs_sent += 1
@@ -246,19 +253,20 @@ def make_send(exe):
         msg.id = next(msg_ids)
         msg._headers = []
         msg._segments = [memoryview(data)]
-        msg.meter = meter
+        msg.meter = s.copy_meter
         msg._leases = None
         if s._pooling:
-            pdu = pool_acquire(DATA, CONN, src_port=SP, dst_port=DP,
-                               compact=COMPACT)
+            pdu = pool_acquire(DATA, s.conn_id, src_port=s.local_port,
+                               dst_port=s.remote_port, compact=COMPACT)
         else:
-            pdu = PDU(DATA, CONN, src_port=SP, dst_port=DP, compact=COMPACT)
+            pdu = PDU(DATA, s.conn_id, src_port=s.local_port,
+                      dst_port=s.remote_port, compact=COMPACT)
         seq = state.snd_nxt
         state.snd_nxt = seq + 1
         pdu.seq = seq
         pdu.msg_id = msg_id
         pdu.message = msg
-        pb = pb_fn()
+        pb = conn.piggyback_config()
         if pb is not None:
             pdu.options['cfg'] = pb
 {can_send_block}{gap_block}{now_block}        pdu.timestamp = now
@@ -268,8 +276,8 @@ def make_send(exe):
             pdu._refs += 1    # the wire's reference (inlined retain)
         frame = Frame.__new__(Frame)
         frame.id = next(frame_ids)
-        frame.src = HOSTNAME
-        frame.dst = frame_dst()
+        frame.src = host.name
+        frame.dst = dlv.frame_dst()
         frame.size = {size_expr}
         frame.payload = pdu
         frame.priority = PRIORITY
@@ -282,7 +290,7 @@ def make_send(exe):
         stats.pdus_sent += 1
         stats.wire_bytes_sent += frame.size
         host.frames_sent += 1
-        cpu_submit(INTERRUPT + critical, net_send, frame)
+        cpu.submit(INTERRUPT + critical, net_send, frame)
 {deferred_block}{release_block}{extras_loop}        return msg_id
 
     return generated_send
@@ -295,26 +303,24 @@ def _recv_source(recv_deferred: bool) -> str:
     deferred_block = (
         "            deferred = RDF + RDPB * n\n"
         "            if deferred > 0.0:\n"
-        "                cpu_submit(cost, process, pdu, frame)\n"
-        "                cpu_charge(deferred)\n"
+        "                cpu.submit(cost, process, pdu, frame)\n"
+        "                cpu.charge(deferred)\n"
         "                return\n"
         if recv_deferred else ""
     )
     return f"""\
 def make_recv(exe):
-    s = exe.s; process = exe._process; cpu = s.host.cpu
-    cpu_submit = cpu.submit; cpu_charge = cpu.charge
+    process = exe._process; cpu = exe.s.host.cpu
 
-    def generated_handle_frame(pdu, frame):
-        if s._closed:
-            return
+    def generated_handle_frame(pdu, frame, process=process, cpu=cpu):
+        # no closed-session test: ``retire`` deletes this closure
         t = pdu.ptype
         if t is DATA or t is PARITY:
             n = pdu.data_size
             cost = (RBA if pdu.compact else RBU) + RPB * n + RD
 {deferred_block}        else:
             cost = CA if pdu.compact else CU
-        cpu_submit(cost, process, pdu, frame)
+        cpu.submit(cost, process, pdu, frame)
 
     return generated_handle_frame
 """
@@ -341,16 +347,16 @@ def _factory(kind: str, key: Tuple, render: Callable[[], str],
     return ns["make_" + kind]
 
 
-def _mechanism_kinds(exe) -> Tuple[str, str, str]:
-    """Classify the executor's bound mechanisms for body inlining.
+def _mechanism_kinds(ctx) -> Tuple[str, str, str]:
+    """Classify a context's bound mechanisms for body inlining.
 
     A non-"generic" kind is claimed only for the *exact* class whose
     method bodies the generated source reproduces (and, for hooks a
     subclass could override, only when the bound method **is** the
     base implementation) — any user subclass or unknown mechanism
-    falls back to calling through the prebound entry points.
+    falls back to calling the mechanism's own methods.
     """
-    tx = exe._tx
+    tx = ctx.transmission
     tcls = type(tx)
     base_on_send = tcls.on_send is TransmissionControl.on_send
     if (tcls is WindowRate and type(tx._window) is SlidingWindow
@@ -367,7 +373,7 @@ def _mechanism_kinds(exe) -> Tuple[str, str, str]:
     else:
         tx_kind = "generic"
 
-    rec = exe._rec
+    rec = ctx.recovery
     rcls = type(rec)
     if (issubclass(rcls, _RetransmitBase)
             and rcls.on_send is _RetransmitBase.on_send
@@ -379,7 +385,7 @@ def _mechanism_kinds(exe) -> Tuple[str, str, str]:
     else:
         rec_kind = "generic"
 
-    det = exe._det
+    det = ctx.detection
     dcls = type(det)
     if dcls is InternetChecksum:
         det_kind = "internet"
@@ -403,7 +409,8 @@ def codegen(exe) -> Tuple[Tuple, Callable, Callable]:
     """
     pipe = exe.pipeline
     if pipe.codegen is None:
-        placement = getattr(exe._det, "placement", None)
+        ctx = exe.s.context
+        placement = getattr(ctx.detection, "placement", None)
         trailer = TRAILER_CHECKSUM_SIZE if placement == "trailer" else 0
         compact = bool(exe.s.cfg.compact_headers)
         header = COMPACT_HEADER_SIZE if compact else LEGACY_HEADER_BASE
@@ -412,7 +419,7 @@ def codegen(exe) -> Tuple[Tuple, Callable, Callable]:
         recv_deferred = (pipe.recv_def_fixed != 0.0
                          or pipe.recv_def_per_byte != 0.0)
         key = (pipe.track_outstanding, compact, send_deferred,
-               *_mechanism_kinds(exe))
+               *_mechanism_kinds(ctx))
         ns = {
             "telemetry": _TELEMETRY, "pool_acquire": PDU_POOL.acquire,
             "PDU": PDU, "DATA": PduType.DATA, "PARITY": PduType.PARITY,

@@ -106,6 +106,10 @@ class CompiledPipeline:
         "control_unaligned",
         "data_priority",
         "track_outstanding",
+        "ordered",
+        "dedup",
+        "accept_out_of_order",
+        "retransmits",
     )
 
     def __init__(self, session: "TKOSession", specs: Dict[str, "StageSpec"]) -> None:
@@ -167,9 +171,15 @@ class CompiledPipeline:
         self.control_unaligned = float(costs.layer_fixed + costs.header_parse_unaligned)
 
         self.data_priority = PRIO_HIGH if cfg.priority else PRIO_NORMAL
+        # the mechanisms' policy flags (class constants), read from here by
+        # the executor instead of being copied onto every session
+        ctx = session.context
+        self.ordered = ctx.sequencing.ordered
+        self.dedup = ctx.sequencing.dedup
+        self.accept_out_of_order = ctx.recovery.accept_out_of_order
+        self.retransmits = ctx.recovery.retransmits
         self.track_outstanding = (
-            session.context.recovery.retransmits
-            or cfg.transmission in _WINDOWED_TRANSMISSION
+            self.retransmits or cfg.transmission in _WINDOWED_TRANSMISSION
         )
 
     # ------------------------------------------------------------------

@@ -32,8 +32,7 @@ that point on.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from repro.host.nic import Host
 from repro.netsim.frame import Frame
@@ -58,7 +57,27 @@ _HEADER_ALLOWANCE = 32
 
 
 class TKOSession:
-    """One transport association on one host."""
+    """One transport association on one host.
+
+    A fixed-layout record while it lives, a tombstone once closed:
+    ``_teardown`` lets go of everything bound to live machinery, so an
+    unheld closed session is freed by reference count and a *held* one
+    answers only what is read after close: ``stats``, ``rtt``, ``cfg``,
+    ``conn_id`` and the addresses, ``closed``, ``executor.fast_sends``,
+    ``context.describe()``.  ``send`` on it still raises, a frame that
+    reaches it is still retired.  The instance ``__dict__`` exists for one
+    seam, shadowing ``_handle_ack``; nothing in ``src/`` writes to it.
+    """
+
+    __slots__ = (
+        "host", "sim", "cfg", "context", "conn_id", "local_port",
+        "remote_host", "remote_port", "on_deliver", "on_connected",
+        "on_closed", "on_open_failed", "on_signalling", "protocol",
+        "state", "recv_window", "reassembler", "rtt", "stats", "timers",
+        "copy_meter", "observers", "executor", "_send_queue", "_pump_event",
+        "_closing", "_closed", "_paused", "_drain_waiters", "_pdu_buffers",
+        "_pooling", "_gap_timer", "_rng_name", "__dict__",
+    )
 
     def __init__(
         self,
@@ -105,19 +124,19 @@ class TKOSession:
         #: observers notified of protocol events (UNITES tracing attaches
         #: here); each is called as observer(event: str, session, **details)
         self.observers: list = []
-        self._send_queue: deque[PDU] = deque()
+        #: the executor swaps in a deque when the first PDU has to wait
+        self._send_queue = ()
         self._pump_event = None
         self._closing = False
         self._closed = False
         self._paused = False
         self._drain_waiters: list = []
-        self._pdu_buffers: Dict[int, Any] = {}
+        self._pdu_buffers: dict = {}
         self._pooling = False
+        #: made by the executor the first time a gap has to be waited out
+        self._gap_timer = None
 
         self.executor = CompiledExecutor(self)
-        self._gap_timer = self.timers.timer(
-            self.executor.gap_timeout, interval=cfg.gap_timeout
-        )
         context.bind(self)
         self.executor.recompile("synthesize", pipeline_specs, shared_pipeline)
         self._refresh_pooling()
@@ -131,7 +150,7 @@ class TKOSession:
 
     @property
     def connected(self) -> bool:
-        return self.context.connection.connected and not self._closed
+        return not self._closed and self.context.connection.connected
 
     @property
     def closed(self) -> bool:
@@ -233,7 +252,7 @@ class TKOSession:
         been acknowledged and everything else is still queued locally, so
         a configuration swap cannot lose or double-deliver a PDU.
         """
-        if not self.state.outstanding:
+        if self._closed or not self.state.outstanding:
             callback()
             return
         self._drain_waiters.append(callback)
@@ -258,11 +277,12 @@ class TKOSession:
             return
         self.stats.aborted = reason
         self._notify("abort", reason=reason)
+        on_open_failed, on_closed = self.on_open_failed, self.on_closed
         self._teardown()
-        if self.on_open_failed is not None and self.stats.established_at is None:
-            self.on_open_failed(reason)
-        elif self.on_closed is not None:
-            self.on_closed()
+        if on_open_failed is not None and self.stats.established_at is None:
+            on_open_failed(reason)
+        elif on_closed is not None:
+            on_closed()
 
     # ------------------------------------------------------------------
     # reconfiguration (segue)
@@ -395,16 +415,20 @@ class TKOSession:
         if self._closed:
             return
         self._notify("close")
+        on_closed = self.on_closed
         self._teardown()
-        if self.on_closed is not None:
-            self.on_closed()
+        if on_closed is not None:
+            on_closed()
 
     def notify_open_failed(self, reason: str) -> None:
+        if self._closed:
+            return
         self.stats.aborted = reason
         self._notify("abort", reason=reason)
+        on_open_failed = self.on_open_failed
         self._teardown()
-        if self.on_open_failed is not None:
-            self.on_open_failed(reason)
+        if on_open_failed is not None:
+            on_open_failed(reason)
 
     def _maybe_finish_close(self) -> None:
         if not self._closing or self._closed:
@@ -430,11 +454,10 @@ class TKOSession:
         for entry in self.state.outstanding.values():
             if entry.pdu.pooled:
                 entry.pdu.release()
-        self.state.outstanding.clear()
         for pdu in self._send_queue:
             if pdu.pooled:
                 pdu.release()
-        self._send_queue.clear()
+        self._send_queue = ()
         # the receive side parks wire references too: fragments waiting for
         # the rest of their message, arrivals held for in-order release
         for pdu in self.reassembler.drain():
@@ -442,7 +465,6 @@ class TKOSession:
         for pdu in self.recv_window.buffer.values():
             if pdu is not None:
                 pdu.discard()
-        self.recv_window.buffer.clear()
         self.timers.cancel_all()
         self.host.network.rng.discard(self._rng_name)
         if self._pump_event is not None:
@@ -451,6 +473,18 @@ class TKOSession:
         self.context.teardown()
         for buf in self._pdu_buffers.values():
             self.host.buffers.free(buf)
-        self._pdu_buffers.clear()
         if self.protocol is not None:
             self.protocol.session_closed(self)
+        # the tombstone (class docstring: what a held handle still answers)
+        self.executor.retire(_CLOSED)
+        self.state = self.recv_window = self.reassembler = None
+        self.timers = self._gap_timer = self._pdu_buffers = None
+        self.on_deliver = self.on_connected = self.on_closed = None
+        self.on_open_failed = self.on_signalling = None
+        self.observers.clear()  # stays a list: a tracer may still detach
+
+
+#: what a retired executor points at instead of its session: every late
+#: entry reads ``_closed`` first and takes the exit it always took
+_CLOSED = TKOSession.__new__(TKOSession)
+_CLOSED._closed = _CLOSED._closing = _CLOSED._paused = True

@@ -11,7 +11,6 @@ queue, sequence numbers, and receive buffer persist untouched (paper
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -19,7 +18,7 @@ from repro.tko.pdu import PDU
 
 
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class SendEntry:
     """Bookkeeping for one unacknowledged DATA PDU."""
 
@@ -36,10 +35,13 @@ class SendEntry:
 class SenderState:
     """Sequence-number space and unacknowledged queue (sender side)."""
 
+    __slots__ = ("snd_nxt", "snd_una", "outstanding", "peer_window")
+
     def __init__(self) -> None:
         self.snd_nxt = 0
         self.snd_una = 0
-        self.outstanding: "OrderedDict[int, SendEntry]" = OrderedDict()
+        #: seq -> entry, in first-transmission order (insertion order)
+        self.outstanding: Dict[int, SendEntry] = {}
         self.peer_window: Optional[int] = None
 
     def next_seq(self) -> int:
@@ -75,6 +77,9 @@ class RttEstimator:
     #: path drives rttvar→0 and the timeout collapses onto srtt, making
     #: the sender's own queueing look like loss
     G = 0.01
+
+    __slots__ = ("srtt", "rttvar", "rto_min", "rto_max", "_rto", "_backoff",
+                 "samples")
 
     def __init__(self, rto_initial: float = 0.5, rto_min: float = 0.1, rto_max: float = 60.0) -> None:
         self.srtt: Optional[float] = None
@@ -141,6 +146,8 @@ class ReceiveWindow:
     per call because they belong to the *mechanisms* currently installed —
     a segue changes behaviour instantly without copying buffered PDUs.
     """
+
+    __slots__ = ("rcv_nxt", "buffer", "duplicates", "discarded_ooo")
 
     def __init__(self) -> None:
         self.rcv_nxt = 0
@@ -221,6 +228,8 @@ class ReceiveWindow:
 class Reassembler:
     """Fragment reassembly: (msg_id, frag_index/frag_count) → messages."""
 
+    __slots__ = ("_partial",)
+
     def __init__(self) -> None:
         self._partial: Dict[int, Dict[int, PDU]] = {}
 
@@ -254,7 +263,7 @@ class Reassembler:
 
 
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class SessionStats:
     """Whitebox per-session counters (UNITES' instrumentation surface)."""
 

@@ -133,6 +133,7 @@ def run_impaired_transfer(
                        PDU_POOL.recycled - pool0[1]),
         "slab_leases_live": (ta.network.arena.live_leases
                              + tb.network.arena.live_leases),
+        "quiescence": sys_a.check_quiescent() + sys_b.check_quiescent(),
         "timeline_s": ta.clock.now(),
     }
     ta.close()

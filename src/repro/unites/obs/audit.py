@@ -474,7 +474,7 @@ class QoSAuditor:
 
     def _sender_backlogged(self) -> bool:
         s = self.sender
-        if s is None:
+        if s is None or s.closed:
             return False
         return bool(s.state.outstanding) or bool(s._send_queue)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import re
 
 import pytest
 from hypothesis import settings
@@ -69,6 +70,22 @@ class TwoHosts:
             s.send(m)
         self.sim.run(until=until)
         return s
+
+
+#: the one leak ``check_quiescent`` names that predates it and is ROADMAP
+#: item 3's to fix: a responder session that dies before it is established
+#: never runs ``release_then``, so its peer-session entry stays
+_KNOWN_LEAK = re.compile(
+    r"table entry for closed session \w+:\d+ \(in table: peer-session\)$")
+
+
+def leaks(violations) -> list:
+    """The lines of a ``check_quiescent()`` result that are leaks: not
+    busyness (``not quiescent: …``), not the known one above.  By category,
+    never by connection id, so renumbering connections moves no test and a
+    fix of the known fault moves none either."""
+    return [v for v in violations
+            if not v.startswith("not quiescent: ") and not _KNOWN_LEAK.match(v)]
 
 
 def kernel_handler_labels() -> set:

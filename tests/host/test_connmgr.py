@@ -137,11 +137,12 @@ class TestManagedMonitorLaziness:
         conn = a.mantts.open(voice_acd())
         conn.monitor.on_sample.append(lambda st: None)
         sysm.run(until=1.0)
-        before = conn.monitor.samples
+        monitor = conn.monitor  # a closed connection lets its monitor go
+        before = monitor.samples
         assert before > 0
         conn.close()
         sysm.run(until=2.0)
-        assert conn.monitor.samples == before
+        assert monitor.samples == before and conn.monitor is None
 
 
 class TestProbeSharing:

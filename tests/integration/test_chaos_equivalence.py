@@ -4,13 +4,18 @@ and the reference oracle still produce bit-identical simulated worlds.
 The compiler's contract (wall time only — see ``docs/pipelines.md``) must
 hold not just on clean runs but through link flaps, bandwidth collapses,
 BER storms, and queue squeezes: every drop, retransmission, and recovery
-decision has to land on the same virtual timestamps either way."""
+decision has to land on the same virtual timestamps either way.
+
+The world is assembled on an ``AdaptiveSystem`` (MANTTS idle, the session
+opened on the protocol directly) so each run can end by closing its sender
+and asking ``check_quiescent()`` what the storm left behind."""
 
 import pytest
 
+from repro.core.system import AdaptiveSystem
 from repro.netsim.faults import FaultInjector, FaultSchedule
+from repro.netsim.profiles import ethernet_10, linear_path
 from repro.tko.config import SessionConfig
-from tests.conftest import TwoHosts
 
 #: the undirected links of the TwoHosts linear path A-s1-s2-B
 LINKS = [("A", "s1"), ("s1", "s2"), ("s2", "B")]
@@ -26,29 +31,40 @@ CONFIGS = {
 
 
 def run_world(seed: int, cfg: SessionConfig):
-    w = TwoHosts(seed=seed)
-    w.listen()
-    s = w.open(cfg)
+    system = AdaptiveSystem(seed=seed)
+    net = system.attach_network(linear_path(
+        system.sim, ethernet_10(), ("A", "B"), n_switches=2, rng=system.rng))
+    a, b = system.node("A"), system.node("B")
+    delivered = []
+    b.protocol.listen(
+        7000, lambda pdu, frame: SessionConfig.from_dict(pdu.options["cfg"]),
+        lambda rx: setattr(rx, "on_deliver", lambda data, meta: delivered.append(data)))
+    s = a.protocol.create_session(cfg, "B", 7000)
+    s.connect()
     for i in range(30):
         s.send(b"c%02d" % i + b"z" * 700)
     schedule = FaultSchedule.random(seed, LINKS, horizon=2.0, n_faults=6)
-    inj = FaultInjector(w.sim, w.net, schedule).arm()
-    w.sim.run(until=12.0)
-    return (
+    inj = FaultInjector(system.sim, net, schedule).arm()
+    system.run(until=12.0)
+    identity = (
         tuple(inj.trace),
-        len(w.delivered),
-        sum(len(data) for data, _ in w.delivered),
-        w.sim.now,
+        len(delivered),
+        sum(len(data) for data in delivered),
+        system.now,
         s.stats.pdus_sent,
         s.stats.retransmissions,
-        w.ha.cpu.instructions_retired,
-        w.hb.cpu.instructions_retired,
+        a.host.cpu.instructions_retired,
+        b.host.cpu.instructions_retired,
         tuple(
             (link.stats.delivered, link.stats.dropped_overflow,
              link.stats.dropped_down, link.stats.corrupted)
-            for _, link in sorted(w.net.links.items())
+            for _, link in sorted(net.links.items())
         ),
     )
+    s.close()
+    system.run(until=20.0)
+    assert system.check_quiescent() == []
+    return identity
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])

@@ -207,6 +207,20 @@ class TestMulticastMANTTS:
         sysm.run(until=5.0)
         assert all(len(v) == 5 for v in rx.values())
 
+    def test_membership_and_tsc_calls_on_a_closed_handle_are_answered(self):
+        sysm, a, rx = self._conference()
+        conn = a.mantts.open(acd_for("tele-conferencing", participants=("B", "C")))
+        sysm.run(until=2.0)
+        state = conn.monitor.snapshot()
+        conn.close()
+        sysm.run(until=4.0)
+        assert conn.session.closed
+        conn.remove_member("C")
+        conn.add_member("D")
+        assert conn.members == ["B", "D"]
+        assert conn.change_tsc("non-real-time-non-isochronous", state) is False
+        assert conn.apply_overrides({"window": 4}) is False
+
     def test_member_leave_stops_delivery(self):
         sysm, a, rx = self._conference()
         conn = a.mantts.open(acd_for("tele-conferencing", participants=("B", "C", "D")))

@@ -100,6 +100,7 @@ class ReferenceExecutor(CompiledExecutor):
             total = msg.data_length
             frag_count = max(1, -(-total // seg))
             piggyback = s.context.connection.piggyback_config()
+            queue = self._queue()
             for i in range(frag_count):
                 part = msg.take(min(seg, msg.data_length)) if total else TKOMessage(b"", meter=s.copy_meter)
                 pdu = s.make_pdu(PduType.DATA)
@@ -111,7 +112,7 @@ class ReferenceExecutor(CompiledExecutor):
                 if piggyback is not None:
                     pdu.options["cfg"] = piggyback
                     piggyback = None
-                s._send_queue.append(pdu)
+                queue.append(pdu)
             self.pump()
         return msg_id
 
@@ -199,7 +200,7 @@ class ReferenceExecutor(CompiledExecutor):
     def handle_frame(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
         if s._closed:
-            return
+            return self._process(pdu, frame)  # retires the frame
         deferred = 0.0
         if pdu.ptype in (PduType.DATA, PduType.PARITY):
             cost, deferred = self.cost_model.recv_charge(pdu)
@@ -244,6 +245,9 @@ class ReferenceExecutor(CompiledExecutor):
 
     def _handle_data(self, pdu: PDU) -> None:
         s = self.s
+        if s._closed:  # closed by a callback under a caller mid-loop
+            pdu.discard()
+            return
         ctx = s.context
         buf = s.host.buffers.alloc(max(1, pdu.wire_size))
         if buf is None:
@@ -279,7 +283,7 @@ class ReferenceExecutor(CompiledExecutor):
             self._deliver_pdu(out)
         # a data arrival can complete an FEC group whose parity came first
         repair = getattr(ctx.recovery, "repair_opportunity", None)
-        if repair is not None:
+        if repair is not None and not s._closed:
             for rebuilt in repair(pdu):
                 self._handle_data(rebuilt)
         if not accepted:
@@ -287,6 +291,9 @@ class ReferenceExecutor(CompiledExecutor):
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
+        if s._closed:  # ``on_deliver`` closed it part-way through a release
+            pdu.discard()
+            return
         frags = s.reassembler.add(pdu)
         self._release_buffer(pdu)
         if frags is None:
@@ -341,5 +348,7 @@ class ReferenceExecutor(CompiledExecutor):
         ctx = s.context
         if ctx.recovery.retransmits or not ctx.sequencing.ordered:
             return
+        if s._gap_timer is None:
+            s._gap_timer = s.timers.timer(self.gap_timeout)
         if not s._gap_timer.armed:
             s._gap_timer.schedule(s.cfg.gap_timeout)

@@ -19,6 +19,7 @@ from repro.core.churn import (
 )
 from repro.shard.coordinator import ShardCoordinator, ShardSyncError
 from tests import golden
+from tests.conftest import leaks
 
 N = 48          # small but real: all four classes, crosses in every group
 GROUPS = 4
@@ -36,6 +37,11 @@ class TestSerialGroupedScenario:
         assert serial["established"] > N          # reopens add extra opens
         assert serial["closed"] == serial["established"]
         assert serial["delivered"] > 0
+
+    def test_nothing_outlives_its_session(self, serial):
+        # (one initiator sent the FIN nobody answered and is closing for
+        # ever: busyness the checker names — ROADMAP item 3 — not a leak)
+        assert leaks(serial["quiescence"]) == []
 
     def test_serial_rerun_is_bit_identical(self, serial):
         again = run_grouped_churn(n_connections=N, n_groups=GROUPS, seed=SEED)
@@ -64,6 +70,9 @@ class TestShardedIdentity:
             recv_timeout=120.0,
         )
         assert grouped_identity_fields(sharded) == grouped_identity_fields(serial)
+        # the shards together name what the serial world names
+        assert sorted(v for r in sharded["shards"] for v in r["quiescence"]) \
+            == sorted(serial["quiescence"])
         coord = sharded["coordinator"]
         assert coord["epochs"] > 0
         assert coord["cross_frames"] > 0          # the boundary was exercised
@@ -77,6 +86,7 @@ class TestShardedIdentity:
             # every pooled wire reference acquired in the worker process
             # was released — gateway egress included
             assert r["pdu_acquired"] == r["pdu_recycled"] > 0
+            assert leaks(r["quiescence"]) == []
             # nothing that must stay local crossed the pipe
             assert r["shard_refused_multicast"] == 0
             assert r["shard_refused_heartbeat"] == 0

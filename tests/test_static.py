@@ -1,10 +1,12 @@
 """Static checks ruff would make, for an image that does not ship ruff.
 
-Two rules: no unused import under ``src/repro/`` (pyflakes F401;
+Three rules: no unused import under ``src/repro/`` (pyflakes F401;
 ``__init__.py`` files are re-export hubs and exempt, as in the
-``per-file-ignores`` of ``pyproject.toml``), and the heavy imports a
+``per-file-ignores`` of ``pyproject.toml``); the heavy imports a
 simulated world never executes stay where they are deferred
-(``tests/test_import_surface.py`` counts what a cold process loads).
+(``tests/test_import_surface.py`` counts what a cold process loads); and
+every class a session instantiates by the dozen keeps a fixed layout
+(``tests/core/test_connection_footprint.py`` counts what that buys).
 """
 
 import ast
@@ -79,3 +81,44 @@ def test_heavy_imports_stay_confined():
     assert not offenders, "\n".join(offenders)
     for heavy, home in CONFINED.items():  # the rule still reads what it guards
         assert home is None or heavy in imported_modules(SRC / home)
+
+
+def has_fixed_layout(cls: ast.ClassDef) -> bool:
+    """``__slots__`` assigned in the class body, or ``@dataclass(slots=True)``."""
+    in_body = any(
+        isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)
+        for item in cls.body)
+    by_decorator = any(
+        isinstance(d, ast.Call) and any(
+            k.arg == "slots" and getattr(k.value, "value", False) is True
+            for k in d.keywords)
+        for d in cls.decorator_list)
+    return in_body or by_decorator
+
+
+def test_mechanisms_and_session_state_declare_slots():
+    """A new mechanism (or state container) without ``__slots__`` would
+    quietly give every session a ``__dict__`` back."""
+    files = sorted((SRC / "mechanisms").glob("*.py")) + [SRC / "tko" / "state.py"]
+    classes = [(path, node) for path in files
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ClassDef)]
+    assert len(classes) > 40  # the walk found the hierarchies
+    offenders = [f"{path.relative_to(SRC.parent)}:{node.lineno}: {node.name}"
+                 for path, node in classes if not has_fixed_layout(node)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_nothing_under_src_reaches_into_an_instance_dict():
+    """``vars(x)`` / ``x.__dict__`` on a slotted instance fails, and on the
+    two classes that keep a ``__dict__`` (the documented shadowing seams)
+    it materialises a dict object the layout otherwise avoids."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "vars"):
+                offenders.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+    assert not offenders, "\n".join(offenders)

@@ -6,9 +6,10 @@ close), a delivery waiting for its playout point (``_deliver_app`` fires
 after it), fragments the reassembler parked until their message completes,
 and arrivals the reorder buffer holds for in-order release.  Each used to
 drop its pooled shell — and, on a real substrate, its slab lease — on the
-floor; together they were 5 of the shells ``media_fault`` "leaks".  A
-fifth is still open and pinned at the end of this file: the opening frame
-of a passive open whose ``on_session`` callback closes the session.
+floor; together they were 5 of the shells ``media_fault`` "leaks".  The
+fifth is at the end of this file: the opening frame of a passive open
+whose ``on_session`` callback closes the session meets the executor's
+first-use ``handle_frame``, which retires it as ``_process``'s exit does.
 
 Every scenario runs with the wire codec in the middle (encode, decode into
 a slab arena, as ``RealFabric`` does), so the receiver handles unpooled
@@ -24,7 +25,7 @@ from repro.netsim.frame import decode_frame, encode_frame
 from repro.tko.config import SessionConfig
 from repro.tko.pdu import PDU, PDU_POOL, PduType
 from repro.tko.slab import SlabArena
-from tests.conftest import TwoHosts
+from tests.conftest import EXECUTORS, TwoHosts
 
 UNRELIABLE = dict(connection="implicit", transmission="rate", ack="none",
                   recovery="none", rate_pps=2000.0)
@@ -52,12 +53,12 @@ class CodecWorld(TwoHosts):
 
         self.net.send = through_the_codec  # before the first send binds it
 
-    def quiesce_and_check(self, sender):
+    def quiesce_and_check(self, sender, pooled=True):
         if not sender.closed:
             sender.abort("test over")
         self.sim.run(until=self.sim.now + 5.0)
         acquired = PDU_POOL.acquired - self.pool0[0]
-        assert acquired > 0 and self.arena.leases_issued > 0
+        assert (acquired > 0) == pooled and self.arena.leases_issued > 0
         assert PDU_POOL.recycled - self.pool0[1] == acquired
         assert self.arena.live_leases == 0
 
@@ -111,7 +112,7 @@ def test_fragment_parked_in_the_reassembler_when_the_session_closes():
     assert rx.reassembler.partial_count == 1 and not w.delivered
     assert w.arena.live_leases == 1  # fragment 0 of 2, waiting for ever
     rx.abort("closed with half a message")
-    assert rx.reassembler.partial_count == 0
+    assert rx.reassembler is None  # drained, then retired with the session
     w.quiesce_and_check(sender)
 
 
@@ -131,8 +132,108 @@ def test_arrival_held_for_ordering_when_the_session_closes():
     [rx] = w.rx_sessions
     assert sorted(rx.recv_window.buffer) == [2, 3] and len(w.delivered) == 1
     rx.abort("closed with a gap")
-    assert not rx.recv_window.buffer
+    assert rx.recv_window is None  # emptied, then retired with the session
     w.quiesce_and_check(sender)
+
+
+def lose_the_second_data_pdu(times):
+    lost = []
+
+    def lose(pdu):
+        if pdu.ptype is PduType.DATA and pdu.seq == 1 and len(lost) < times:
+            lost.append(pdu.seq)
+            return True
+        return False
+
+    return lose
+
+
+def close_from_the_second_delivery(w, cfg, how):
+    """B's application closes its session from inside ``on_deliver``, on the
+    second message it is handed: teardown runs synchronously under whichever
+    executor frame was releasing PDUs, and that frame still has some."""
+
+    def on_session(s):
+        def on_deliver(data, meta):
+            w.delivered.append((data, meta))
+            if len(w.delivered) == 2:
+                how(s)
+                assert s.closed
+
+        if not w.rx_sessions:  # a straggler may open another; it stays mute
+            s.on_deliver = on_deliver
+        w.rx_sessions.append(s)
+
+    w.pb.listen(7000, lambda pdu, frame: cfg, on_session)
+
+
+CLOSES = [lambda s: s.abort("the application had enough"), lambda s: s.close()]
+
+
+@pytest.mark.parametrize("how", CLOSES, ids=["abort", "close"])
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_closed_from_on_deliver_while_a_filled_gap_is_released(
+        executors, kind, how):
+    """The retransmission of seq 1 releases 1, 2 and 3 in one loop; the
+    callback closes the session on 1, and 2 and 3 are retired, not handed
+    to a session that is gone."""
+    with executors(kind):
+        w = CodecWorld(lose=lose_the_second_data_pdu(1))
+        cfg = SessionConfig(connection="implicit", ack="selective",
+                            recovery="sr", rto_initial=0.2)
+        close_from_the_second_delivery(w, cfg, how)
+        sender = w.open(cfg)
+        for _ in range(4):
+            sender.send(b"o" * 300)
+        w.sim.run(until=1.0)
+        rx = w.rx_sessions[0]
+        assert rx.closed and rx.stats.msgs_delivered == 2
+        assert len(w.delivered) == 2
+        w.quiesce_and_check(sender, pooled=kind == "shipped")
+
+
+@pytest.mark.parametrize("how", CLOSES, ids=["abort", "close"])
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_closed_from_on_deliver_while_a_skipped_gap_is_released(
+        executors, kind, how):
+    """Nothing retransmits seq 1: the gap timer skips it and releases 2 and
+    3; the callback closes the session on 2, and the timer's frame neither
+    delivers 3 nor re-arms on a receive window that is gone."""
+    with executors(kind):
+        w = CodecWorld(lose=lose_the_second_data_pdu(1))
+        cfg = SessionConfig(sequencing="ordered", gap_timeout=0.05, **UNRELIABLE)
+        close_from_the_second_delivery(w, cfg, how)
+        sender = w.open(cfg)
+        for _ in range(4):
+            sender.send(b"g" * 300)
+        w.sim.run(until=1.0)
+        rx = w.rx_sessions[0]
+        assert rx.closed and rx.stats.gap_skips == 1
+        assert rx.stats.msgs_delivered == 2 and len(w.delivered) == 2
+        w.quiesce_and_check(sender, pooled=kind == "shipped")
+
+
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_closed_from_on_deliver_while_a_repaired_group_is_handed_over(
+        executors, kind):
+    """Two shards of a Reed-Solomon group are lost; the second parity PDU
+    rebuilds both in one loop, the callback closes the session on the first
+    and the second is discarded unseen (FEC senders never pool: the books
+    are the arena's)."""
+    with executors(kind):
+        w = CodecWorld(lose=lambda pdu: pdu.ptype is PduType.DATA
+                       and pdu.seq in (1, 2))
+        cfg = SessionConfig(**{**UNRELIABLE, "recovery": "fec-rs"}, fec_k=4,
+                            fec_r=2, sequencing="ordered")
+        close_from_the_second_delivery(w, cfg, CLOSES[0])
+        sender = w.open(cfg)
+        for _ in range(4):
+            sender.send(b"p" * 300)
+        w.sim.run(until=1.0)
+        rx = w.rx_sessions[0]
+        assert rx.closed and rx.stats.msgs_delivered == 2
+        assert len(w.delivered) == 2 and w.delivered[1][1]["reconstructed"]
+        w.quiesce_and_check(sender, pooled=False)
 
 
 def refused_passive_open():
@@ -157,9 +258,6 @@ def test_opening_frame_of_a_refused_passive_open_is_not_processed():
     assert rx.stats.pdus_received == 0 and rx.stats.msgs_delivered == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the rendered "
-                   "handle_frame's closed-session exit returns without "
-                   "discard(), stranding the opening PDU's wire reference")
 def test_opening_frame_of_a_refused_passive_open_is_retired():
     w, sender, _ = refused_passive_open()
     w.quiesce_and_check(sender)

@@ -110,8 +110,10 @@ class Bench:
 
 
 def closure_vars(fn) -> dict:
-    return dict(zip(fn.__code__.co_freevars,
-                    (cell.cell_contents for cell in fn.__closure__)))
+    """What a rendered function bound per session: its default arguments."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    return dict(zip(names[-len(fn.__defaults__):], fn.__defaults__))
 
 
 def fingerprint(session) -> dict:
@@ -258,13 +260,14 @@ class TestFirstUseClosures:
         w.sim.run(until=1.0)
         gbn = sender.context.get("recovery")
         assert type(gbn) is GoBackN
-        assert closure_vars(sender.executor.send)["rec_timer"] is gbn._timer
+        gbn_timer = gbn._timer  # a segued-out mechanism lets go of its timer
+        assert closure_vars(sender.executor.send)["rec_timer"] is gbn_timer
         _segue_to_sr(w, sender)
         sr = sender.context.get("recovery")
         sender.send(b"b" * 300)
         bound = closure_vars(sender.executor.send)
         assert bound["rec_timer"] is sr._timer and sr._timer.armed
-        assert not gbn._timer.armed
+        assert not gbn_timer.armed and gbn._timer is None
         assert list(sender.state.outstanding) == [1]
         w.sim.run(until=2.0)
         assert not sender.state.outstanding and len(w.delivered) == 2
@@ -313,6 +316,38 @@ class TestFirstUseClosures:
         assert sender.executor.fast_sends == 1
 
 
+class TestShadowingSeams:
+    """The two places an instance ``__dict__`` is part of the contract;
+    every other per-connection object has none."""
+
+    def test_handle_ack_shadowed_on_the_session_is_what_an_ack_meets(self):
+        w, sender = transfer_world()
+        assert vars(sender) == {}
+        seen, handle_ack = [], sender._handle_ack
+
+        def spy(pdu, from_host):
+            seen.append((pdu.ack, from_host))
+            handle_ack(pdu, from_host)
+
+        sender._handle_ack = spy
+        sender.send(b"a" * 300)
+        w.sim.run(until=1.0)
+        assert seen == [(1, "B")] and not sender.state.outstanding
+        assert list(vars(sender)) == ["_handle_ack"]
+
+    def test_executor_dict_holds_the_rendered_closures_and_nothing_else(self):
+        w, sender = transfer_world()
+        exe = sender.executor
+        assert vars(exe) == {}
+        sender.send(b"a" * 300)
+        assert list(vars(exe)) == ["send"]
+        w.sim.run(until=1.0)
+        assert sorted(vars(exe)) == ["handle_frame", "send"]
+        sender.close()
+        w.sim.run(until=2.0)
+        assert sender.closed and vars(exe) == {} and exe.fast_sends == 1
+
+
 # ----------------------------------------------------------------------
 class TestFirstUseRng:
     """``TKOSession.rng`` exists once drawn from and dies with its session,
@@ -334,7 +369,8 @@ class TestFirstUseRng:
         assert not [name for name in large if name.startswith("session:")]
 
     @pytest.mark.parametrize("missed", [True, False])
-    def test_miss_draw_is_the_eager_streams_first_draw(self, missed):
+    def test_miss_draw_is_the_eager_streams_first_draw(self, missed,
+                                                       monkeypatch):
         w = TwoHosts(seed=9)
         session = w.pa.create_session(SessionConfig(), "B", 7000)
         name = f"session:A:{session.conn_id}"
@@ -344,7 +380,8 @@ class TestFirstUseRng:
         det = session.context.get("detection")
         assert det.MISS_P > 0.0
         # the draw is observable through the miss decision: < MISS_P misses
-        det.MISS_P = math.nextafter(eager, 1.0) if missed else eager
+        monkeypatch.setattr(
+            type(det), "MISS_P", math.nextafter(eager, 1.0) if missed else eager)
         pdu = session.make_pdu(PduType.DATA)
         assert det.verify(pdu, corrupted=True) is missed
         assert session.stats.undetected_errors == int(missed)

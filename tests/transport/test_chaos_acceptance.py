@@ -20,6 +20,7 @@ import subprocess
 import sys
 
 from repro.transport.chaos import run_impaired_transfer
+from tests.conftest import leaks
 
 _SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
@@ -50,6 +51,9 @@ def test_lossy_transfer_completes_with_intact_digests_and_balanced_pool():
     # duplicates, rejected retransmissions and delivered fragments all
     # surrendered their receive-side slab claims
     assert res["slab_leases_live"] == 0
+    # nothing leaked (a FIN is sent once, so at 20 % loss the closer may
+    # still be waiting for its answer: busyness, ROADMAP item 3)
+    assert leaks(res["quiescence"]) == []
     assert res["frames_sent"] > 20  # retransmissions genuinely happened
     # the trace recorded real hostility, not a clean path
     assert any(" drop" in line for line in res["trace"])
@@ -76,3 +80,4 @@ def test_harness_reports_a_clean_path_cleanly():
     assert res["delivered"] == 3
     assert res["pool_delta"][0] == res["pool_delta"][1]
     assert res["slab_leases_live"] == 0
+    assert res["quiescence"] == []

@@ -54,6 +54,7 @@ def fake_session(sim):
     return SimpleNamespace(
         sim=sim,
         observers=[],
+        closed=False,
         state=SimpleNamespace(outstanding={}),
         _send_queue=[],
     )

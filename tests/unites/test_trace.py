@@ -100,6 +100,17 @@ class TestSessionTracer:
         w.sim.run(until=2.0)
         assert len(tracer) == n
 
+    def test_detach_from_and_attach_to_a_closed_session(self):
+        # a closed session is a tombstone, but its observer list is a list
+        w = TwoHosts()
+        w.listen()
+        s = w.open(SessionConfig())
+        tracer = SessionTracer().attach(s)
+        s.abort("done")
+        assert s.closed and tracer.of_kind("abort")
+        tracer.detach(s)
+        SessionTracer().attach(s).detach(s)
+
     def test_render_timeline(self):
         w = TwoHosts()
         w.listen()
