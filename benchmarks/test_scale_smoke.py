@@ -17,7 +17,7 @@ from time import perf_counter
 
 from repro.core.churn import ChurnScenario, identity_fields, run_churn
 from tests import golden
-from tests.conftest import cpu_spy, leaks  # noqa: F401  (fixture)
+from tests.conftest import SETTLE_S, cpu_spy, leaks  # noqa: F401  (fixture)
 
 WALL_BOUND_S = 60.0
 
@@ -35,8 +35,12 @@ def test_1k_churn_under_wall_bound(cpu_spy):
     assert metrics["delivered"] > 0
     # deterministic counters
     assert completions and "noop" not in completions
-    # no stream, timer, table entry or ledger line outlives its session
+    # no stream, timer, table entry or ledger line outlives its session,
+    # and once the waits still open at the horizon have run out, nothing
+    # is busy either
     assert leaks(scenario.system.check_quiescent()) == []
+    scenario.run(until=20.0 + SETTLE_S)
+    assert scenario.system.check_quiescent() == []
     print(f"\n1k churn: {wall:.2f}s wall, "
           f"{metrics['established']} established, "
           f"peak {metrics['peak_concurrent']} concurrent")

@@ -261,6 +261,8 @@ class ChurnScenario:
             "n_connections": self.n_connections,
             "established": self.established,
             "failed": self.failed,
+            # why they failed (A's end reasons): detail, not identity
+            "failed_by_reason": dict(sorted(mgr.failed_by_reason.items())),
             "closed": self.closed,
             "reopened": self.reopened,
             "delivered": self.delivered,

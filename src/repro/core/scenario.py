@@ -21,6 +21,7 @@ from repro.mantts.acd import ACD
 from repro.netsim.profiles import NetworkProfile, ethernet_10, linear_path
 from repro.netsim.traffic import BackgroundLoad
 from repro.tko.config import SessionConfig
+from repro.tko.ends import failed_open
 
 SERVICE_PORT = 7000
 
@@ -81,7 +82,7 @@ class PointToPointScenario:
                 config,
                 "B",
                 SERVICE_PORT,
-                on_open_failed=self._on_failed,
+                on_ended=self._on_session_ended,
             )
             self.sender_session.connect()
             sender = self.sender_session
@@ -112,6 +113,10 @@ class PointToPointScenario:
     # ------------------------------------------------------------------
     def _on_failed(self, reason: str) -> None:
         self.failed = reason
+
+    def _on_session_ended(self, reason: str) -> None:
+        if failed_open(reason, self.sender_session.stats.established_at is not None):
+            self.failed = reason
 
     @property
     def session(self):

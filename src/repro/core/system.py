@@ -8,11 +8,13 @@ from typing import Dict, List, Optional
 from repro.host.cpu import CpuCosts
 from repro.host.nic import Host
 from repro.mantts.api import MANTTS
+from repro.mantts.negotiation import MANTTS_PORT
 from repro.mantts.resources import ResourceManager
 from repro.mechanisms.base import Mechanism
 from repro.netsim.network import Network
 from repro.sim.rng import RngStreams
 from repro.sim.timers import Timer
+from repro.tko.ends import PEER_DEAD
 from repro.tko.executor import CompiledExecutor
 from repro.tko.pdu import PDU_POOL
 from repro.tko.protocol import TKOProtocol
@@ -129,7 +131,7 @@ class AdaptiveSystem:
         # responder-side sessions and anything still open on the protocol
         for session in list(mantts.protocol.sessions.values()):
             if not session.closed:
-                session.abort(f"teardown of node {name}")
+                session.abort(f"{PEER_DEAD}: teardown of node {name}")
         # unclaimed responder reservations (initiator never showed up)
         for key, queue in list(mantts._unclaimed.items()):
             for ref in list(queue):
@@ -148,11 +150,13 @@ class AdaptiveSystem:
         every other line is a leak: a closed session that is not a
         tombstone, a table entry or a pending kernel event that still
         points at one, a ``session:*`` RNG stream nobody owns, a ledger
-        that does not balance.  (Signalling sessions live as long as their
+        that does not balance, or one that still holds a reservation when
+        no connection is open.  (Signalling sessions live as long as their
         host and are not connections.)
         """
         out: List[str] = []
         open_rng_names = set()
+        sessions_open = False  # besides signalling, either direction
         for name, node in self.nodes.items():
             mantts, manager = node.mantts, node.mantts.manager
             for ref in sorted(set(mantts.connections) | set(manager.connections)):
@@ -177,6 +181,7 @@ class AdaptiveSystem:
                 label = f"{name}:{s.conn_id} (in table: {', '.join(where)})"
                 if not s.closed:
                     open_rng_names.add(s._rng_name)
+                    sessions_open |= MANTTS_PORT not in (s.local_port, s.remote_port)
                     if s._closing:
                         out.append(f"not quiescent: session {label} is closing")
                 elif (s.executor.pipeline is not None or s._send_queue
@@ -203,6 +208,11 @@ class AdaptiveSystem:
         # PDUs in flight are busyness while anything above is; a leak after
         busy = "not quiescent: " if any(
             v.startswith("not quiescent: ") for v in out) else ""
+        for name, node in self.nodes.items():
+            rm = node.mantts.resources
+            if (rm.reserved_bps or rm.reserved_buffer) and not (busy or sessions_open):
+                out.append(f"admission ledger of {name} holds {rm.reserved_bps:g} b/s"
+                           f" and {rm.reserved_buffer} B with no connection open")
         acquired = PDU_POOL.acquired - self._pool0[0]
         recycled = PDU_POOL.recycled - self._pool0[1]
         if acquired != recycled:

@@ -41,10 +41,12 @@ rides along with every MANTTS entity and owns:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.host.nic import Host
 from repro.mantts.monitor import NetworkMonitor, PathProbe, probe_path
+from repro.tko import ends
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -289,8 +291,10 @@ class ConnectionManager:
         # lifetime totals
         self.opened_total = 0
         self.established_total = 0
-        self.closed_total = 0
-        self.failed_total = 0
+        #: connections ended, by :func:`repro.tko.ends.kind` of the reason
+        self.ends_by_reason: Counter = Counter()
+        #: the subset of those that never established (failed opens)
+        self.failed_by_reason: Counter = Counter()
         self.admission_accepted = 0
         self.admission_rejected = 0
 
@@ -415,14 +419,12 @@ class ConnectionManager:
             self._keys[conn.ref] = key
         self._publish()
 
-    def connection_closed(self, conn: "AdaptiveConnection") -> None:
+    def connection_ended(self, conn: "AdaptiveConnection", reason: str) -> None:
         self._drop(conn.ref)
-        self.closed_total += 1
-        self._publish()
-
-    def connection_failed(self, conn: "AdaptiveConnection") -> None:
-        self._drop(conn.ref)
-        self.failed_total += 1
+        reason = ends.kind(reason)
+        self.ends_by_reason[reason] += 1
+        if conn.lifecycle.failed:
+            self.failed_by_reason[reason] += 1
         self._publish()
 
     def _drop(self, ref: str) -> None:
@@ -497,12 +499,8 @@ class ConnectionManager:
             row: Dict[str, object] = {
                 "ref": ref,
                 "host": self.host.name,
-                "state": (
-                    "pending" if ref in self.pending_refs
-                    else "degraded" if ref in self.degraded_refs
-                    else "open" if ref in self.open_refs
-                    else "closing"
-                ),
+                "state": ("pending" if ref in self.pending_refs else "degraded"
+                          if ref in self.degraded_refs else "open"),
             }
             key = self._keys.get(ref)
             if key is not None:
@@ -529,14 +527,15 @@ class ConnectionManager:
 
     def snapshot(self) -> Dict[str, float]:
         """The per-host gauge set (also what UNITES publishes)."""
+        failed = self.failed_by_reason.total()
         return {
             "conn_pending": float(len(self.pending_refs)),
             "conn_open": float(len(self.open_refs)),
             "conn_degraded": float(len(self.degraded_refs)),
             "conn_opened_total": float(self.opened_total),
             "conn_established_total": float(self.established_total),
-            "conn_closed_total": float(self.closed_total),
-            "conn_failed_total": float(self.failed_total),
+            "conn_closed_total": float(self.ends_by_reason.total() - failed),
+            "conn_failed_total": float(failed),
             "admission_accepted": float(self.admission_accepted),
             "admission_rejected": float(self.admission_rejected),
             "timer_group_occupancy": float(self.sampler_group.occupancy),

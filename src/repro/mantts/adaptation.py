@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.mantts.monitor import NetworkState
+from repro.tko.ends import ADAPTATION_TEARDOWN
 from repro.unites.obs.audit import AUDIT as _AUDIT
 from repro.unites.obs.telemetry import TELEMETRY as _TELEMETRY
 
@@ -485,7 +486,7 @@ class AdaptationController:
                          state=state, outcome="abort")
             sess = self.conn.session
             if sess is not None and not sess.closed:
-                sess.abort("adaptation: destination unreachable")
+                sess.abort(f"{ADAPTATION_TEARDOWN}: destination unreachable")
             return
         # wait exponentially longer (in monitor periods) before the next
         # escalation — the bounded-retry backoff

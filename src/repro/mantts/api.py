@@ -189,7 +189,11 @@ class MANTTS:
         on_deliver: Optional[Callable[[bytes, dict], None]] = None,
         default_config: Optional[SessionConfig] = None,
     ) -> None:
-        """Bind an application service to ``port`` (passive open)."""
+        """Bind an application service to ``port`` (passive open).
+
+        ``on_session`` sees each arriving session; its ``on_ended`` belongs
+        to MANTTS, which releases the session's reservation there.
+        """
         if port == MANTTS_PORT:
             raise ValueError(f"port {MANTTS_PORT} is reserved for MANTTS signalling")
         self._services[port] = {
@@ -232,7 +236,7 @@ class MANTTS:
         # The arriving data session claims the oldest reservation its
         # negotiation took (FIFO per (peer, port): concurrent opens from
         # one peer each claim their own ledger entry), and §4.1.3's
-        # termination phase releases exactly that entry on close.
+        # termination phase releases exactly that entry when it ends.
         res_key = (session.remote_host, port)
         queue = self._unclaimed.get(res_key)
         if queue:
@@ -241,23 +245,23 @@ class MANTTS:
                 del self._unclaimed[res_key]
             self._cancel_res_guard(ref)
             self._session_res[key] = ref
-        original_on_closed = session.on_closed
-
-        def release_then(original=original_on_closed):
-            ref = self._session_res.pop(key, None)
-            if ref is not None:
-                self.resources.release(ref)
-            if self._reservation_refs.get(res_key) == ref:
-                self._reservation_refs.pop(res_key, None)
-            self._peer_sessions.pop(key, None)
-            if original is not None:
-                original()
-
-        session.on_closed = release_then
+        session.on_ended = lambda reason: self._responder_ended(key)
         if service["on_deliver"] is not None:
             session.on_deliver = service["on_deliver"]
         if service["on_session"] is not None:
             service["on_session"](session)
+
+    def _responder_ended(self, key: Tuple[str, int, int]) -> None:
+        """A responder session ended, however (FIN, abort, a handshake given
+        up in ``syn-rcvd``): release its peer-session entry and reservation
+        (its port went in the session's own teardown)."""
+        self._peer_sessions.pop(key, None)
+        ref = self._session_res.pop(key, None)
+        if ref is not None:
+            self.resources.release(ref)
+            res_key = (key[0], key[2])
+            if self._reservation_refs.get(res_key) == ref:
+                del self._reservation_refs[res_key]
 
     # ------------------------------------------------------------------
     # signalling message handling
@@ -454,7 +458,7 @@ class MANTTS:
         )
         self.connections[conn.ref] = conn
         self.manager.connection_opening(conn)
-        conn.begin()
+        conn.lifecycle.begin()
         if adaptation and not conn._failed:
             from repro.mantts.adaptation import AdaptationController
 
@@ -547,16 +551,6 @@ class AdaptiveConnection:
     def _failed(self) -> bool:
         return self.lifecycle.failed
 
-    @property
-    def _pending_sends(self) -> List[bytes]:
-        return self.lifecycle.pending_sends
-
-    # ------------------------------------------------------------------
-    # establishment (delegated to the lifecycle state machine)
-    # ------------------------------------------------------------------
-    def begin(self) -> None:
-        self.lifecycle.begin()
-
     # ------------------------------------------------------------------
     # data path passthrough
     # ------------------------------------------------------------------
@@ -571,7 +565,7 @@ class AdaptiveConnection:
         if self._failed:
             raise RuntimeError("connection failed to establish")
         if self.session is None:
-            self._pending_sends.append(bytes(data))
+            self.lifecycle.pending_sends.append(bytes(data))
             return 0
         return self.session.send(data)
 
@@ -649,7 +643,6 @@ class AdaptiveConnection:
         if member in self.members:
             return
         self.members.append(member)
-        self.mantts._negotiated  # responder will learn config from signalling
         ref = f"{self.ref}:{member}:late"
         self.mantts._pending[ref] = lambda msg: None
         self.mantts._send_signalling(
@@ -687,9 +680,6 @@ class AdaptiveConnection:
     def _deliver(self, data: bytes, meta: dict) -> None:
         if self.on_deliver is not None:
             self.on_deliver(data, meta)
-
-    def _fail(self, reason: str) -> None:
-        self.lifecycle.fail(reason)
 
     def _retire(self) -> None:
         """Terminal (closed or failed): let go of whatever points back at

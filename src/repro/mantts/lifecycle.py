@@ -4,8 +4,8 @@ Extracted from :mod:`repro.mantts.api` so the ``AdaptiveConnection``
 handle keeps only the application surface (send/close/adapt/membership)
 while the one-shot establishment sequence — transformation stages,
 explicit negotiation with renegotiate-once, timeout, weakest-QoS merge,
-Stage III instantiation, and the terminal connected/closed/failed
-transitions — lives here as :class:`ConnectionLifecycle`.
+Stage III instantiation, and the two terminal transitions, ``connected``
+and ``ended`` — lives here as :class:`ConnectionLifecycle`.
 
 The split mirrors the paper's structure: §4.1.1's connection-management
 phases (establishment, data transfer, termination) are distinct services;
@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.mantts.tsc import select_tsc
+from repro.tko import ends
 from repro.tko.config import SessionConfig
 from repro.unites.obs.audit import AUDIT as _AUDIT
 from repro.unites.obs.telemetry import NULL_SPAN, TELEMETRY as _TELEMETRY
@@ -27,6 +28,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: seconds an initiator waits for all negotiation replies before failing
 NEGOTIATION_TIMEOUT = 3.0
+
+
+def _lowered(cfg: SessionConfig, counter: SessionConfig) -> dict:
+    """What a responder's counter-proposal lowers in ``cfg``: a session
+    runs at the *weakest* QoS every party accepted."""
+    merged = {}
+    if counter.window < cfg.window:
+        merged["window"] = counter.window
+    if counter.rate_pps is not None and (
+        cfg.rate_pps is None or counter.rate_pps < cfg.rate_pps
+    ):
+        merged["rate_pps"] = counter.rate_pps
+    return merged
 
 
 class ConnectionLifecycle:
@@ -96,7 +110,7 @@ class ConnectionLifecycle:
         )
         state = c.monitor.snapshot()
         if not state.reachable:
-            self.fail(f"no route to {primary}")
+            self.ended(f"{ends.PEER_DEAD}: no route to {primary}")
             return
         c.tsc = select_tsc(acd)                      # Stage I
         c.scs = manager.scs_for(acd, state, c.tsc, c.binding)  # Stage II
@@ -153,7 +167,8 @@ class ConnectionLifecycle:
                         self._clamp_scs_to(offer)
                         self.negotiate_explicit(throughput_bps=offer)
                         return
-                    self.fail(f"{member} refused: {msg.get('reason', '?')}")
+                    self.ended(f"{ends.ADMISSION_REFUSED}: {member}: "
+                               f"{msg.get('reason', '?')}")
                     return
                 if not outstanding:
                     self.sim.cancel(timeout)
@@ -197,6 +212,21 @@ class ConnectionLifecycle:
         if overrides:
             c.scs.config = cfg.with_(**overrides)
 
+    def _abort_sent_refs(self) -> None:
+        """Tell every responder contacted so far to drop what it admitted."""
+        c = self.conn
+        for member, ref in self.sent_refs:
+            c.mantts._send_signalling(
+                member,
+                {
+                    "type": "open-abort",
+                    "ref": ref,
+                    "from": c.host.name,
+                    "service_port": c.acd.service_port,
+                },
+            )
+        self.sent_refs.clear()
+
     def _negotiation_timeout(self, outstanding: set) -> None:
         if self.established or self.failed:
             return
@@ -205,7 +235,7 @@ class ConnectionLifecycle:
             self._setup_attempts += 1
             self._retry_negotiation()
             return
-        self.fail(f"negotiation timed out waiting for {sorted(outstanding)}")
+        self.ended(f"{ends.NEGOTIATION_TIMEOUT}: waiting for {sorted(outstanding)}")
 
     def _retry_negotiation(self) -> None:
         """Timed-out open on a lossy path: roll back, back off, go again.
@@ -222,18 +252,9 @@ class ConnectionLifecycle:
         c = self.conn
         m = c.mantts
         self.nego_span.end(outcome="timeout-retry")
-        for member, ref in self.sent_refs:
+        for _, ref in self.sent_refs:
             m._pending.pop(ref, None)
-            m._send_signalling(
-                member,
-                {
-                    "type": "open-abort",
-                    "ref": ref,
-                    "from": c.host.name,
-                    "service_port": c.acd.service_port,
-                },
-            )
-        self.sent_refs.clear()
+        self._abort_sent_refs()
         base = m.negotiation_backoff * (2 ** (self._setup_attempts - 1))
         # string-seeded: reproducible per (connection, attempt), and
         # decorrelated between the two ends of a lost exchange
@@ -257,14 +278,7 @@ class ConnectionLifecycle:
         assert c.scs is not None
         final = c.scs.config
         for msg in results.values():
-            counter = SessionConfig.from_dict(msg["config"])
-            merged = {}
-            if counter.window < final.window:
-                merged["window"] = counter.window
-            if counter.rate_pps is not None and (
-                final.rate_pps is None or counter.rate_pps < final.rate_pps
-            ):
-                merged["rate_pps"] = counter.rate_pps
+            merged = _lowered(final, SessionConfig.from_dict(msg["config"]))
             if merged:
                 final = final.with_(**merged)
                 c.scs.note(f"countered by {msg.get('from', '?')}: {merged}")
@@ -285,8 +299,7 @@ class ConnectionLifecycle:
                 members=c.members if c.group else None,
                 on_deliver=c._deliver,
                 on_connected=self.connected,
-                on_closed=self.closed,
-                on_open_failed=self.fail,
+                on_ended=self.ended,
             )
             c.session.connect()
         if _AUDIT.enabled:
@@ -386,14 +399,7 @@ class ConnectionLifecycle:
                     return
                 final = new_cfg
                 if isinstance(msg.get("config"), dict):
-                    counter = SessionConfig.from_dict(msg["config"])
-                    merged = {}
-                    if counter.window < final.window:
-                        merged["window"] = counter.window
-                    if counter.rate_pps is not None and (
-                        final.rate_pps is None or counter.rate_pps < final.rate_pps
-                    ):
-                        merged["rate_pps"] = counter.rate_pps
+                    merged = _lowered(final, SessionConfig.from_dict(msg["config"]))
                     if merged:
                         final = final.with_(**merged)
                 c.mantts.synthesizer.reconfigure(session, final)
@@ -428,57 +434,41 @@ class ConnectionLifecycle:
     # terminal transitions
     # ------------------------------------------------------------------
     def connected(self) -> None:
-        if self.failed or self.established:
-            # a late success signal cannot resurrect a timed-out/failed
-            # establishment, and a duplicate must not re-fire the callback
-            return
         c = self.conn
+        if c is None or self.established:
+            # a late success signal cannot resurrect an ended (timed-out,
+            # failed) establishment, and a duplicate must not re-fire it
+            return
         self.established = True
         self.setup_span.end(outcome="connected")
         c.mantts.manager.connection_established(c)
         if c.on_connected is not None:
             c.on_connected(c)
 
-    def closed(self) -> None:
+    def ended(self, reason: str) -> None:
+        """The one terminal transition, whatever ended the connection: it
+        leaves both tables and the handle retires, once.  A failed open
+        (:func:`repro.tko.ends.failed_open`) rolls its reservations back
+        and fires ``on_failed(reason)``; every other end ``on_closed()``."""
+        c = self.conn
+        if c is None:  # already ended: nothing may re-report it
+            return
+        self.failed = ends.failed_open(reason, self.established)
         if self.failed:
-            # fail() already tore down and reported; closing the dead
-            # session afterwards must not also fire on_closed
-            return
-        c = self.conn
-        c.mantts.connections.pop(c.ref, None)
-        c.mantts.manager.connection_closed(c)
-        on_closed = c.on_closed
-        c._retire()
-        if on_closed is not None:
-            on_closed()
-
-    def fail(self, reason: str) -> None:
-        if self.failed or self.conn is None:
-            return
-        self.failed = True
-        c = self.conn
-        self.nego_span.end(outcome="fail")
-        self.setup_span.end(outcome="failed", reason=reason)
-        if _AUDIT.enabled:
-            _AUDIT.note_teardown(c.ref, reason)
-        if not self.established and self.sent_refs:
+            self.nego_span.end(outcome="fail")
+            self.setup_span.end(outcome="failed", reason=reason)
+            if _AUDIT.enabled:
+                _AUDIT.note_teardown(c.ref, reason)
             # roll back any reservation a responder admitted for us: a
             # refused/timed-out open must not leave the remote ledger
             # charged (the recipient no-ops when it holds nothing)
-            for member, ref in self.sent_refs:
-                c.mantts._send_signalling(
-                    member,
-                    {
-                        "type": "open-abort",
-                        "ref": ref,
-                        "from": c.host.name,
-                        "service_port": c.acd.service_port,
-                    },
-                )
-            self.sent_refs.clear()
+            self._abort_sent_refs()
         c.mantts.connections.pop(c.ref, None)
-        c.mantts.manager.connection_failed(c)
-        on_failed = c.on_failed
+        c.mantts.manager.connection_ended(c, reason)
+        on_failed, on_closed = c.on_failed, c.on_closed
         c._retire()
-        if on_failed is not None:
-            on_failed(reason)
+        if self.failed:
+            if on_failed is not None:
+                on_failed(reason)
+        elif on_closed is not None:
+            on_closed()

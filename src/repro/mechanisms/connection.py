@@ -23,16 +23,43 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.mechanisms.base import ConnectionManagement
+from repro.tko.ends import FIN_TIMEOUT, GRACEFUL_CLOSE, HANDSHAKE_TIMEOUT
 from repro.tko.pdu import PDU, PduType
 
-#: handshake retransmission ceiling before the open attempt is abandoned
+#: retransmissions of a waiting state's PDU (SYN, SYN-ACK or FIN) before
+#: the session ends with that state's timeout reason
 MAX_HANDSHAKE_RETRIES = 5
 
 
-class ImplicitConnection(ConnectionManagement):
+class _SchemeBase(ConnectionManagement):
+    """What every scheme shares: a ``state`` label and the FIN exchange (a
+    FIN is answered and ends the session, as does an awaited FIN-ACK)."""
+
+    __slots__ = ("state",)
+
+    @property
+    def connected(self) -> bool:
+        return self.state == "open"
+
+    def handle_control(self, pdu: PDU) -> bool:
+        s = self.session
+        if pdu.ptype is PduType.FIN:
+            self.state = "closed"
+            s.emit_pdu(s.make_pdu(PduType.FIN_ACK))
+        elif pdu.ptype is not PduType.FIN_ACK:
+            return False
+        elif self.state == "fin-wait":
+            self.state = "closed"
+        else:
+            return True  # nothing waits for this FIN-ACK
+        s._end(GRACEFUL_CLOSE)
+        return True
+
+
+class ImplicitConnection(_SchemeBase):
     """Zero-handshake establishment with config piggybacked on first DATA."""
 
-    __slots__ = ("_connected", "_first_data_sent", "_closed")
+    __slots__ = ("_first_data_sent",)
 
     name = "implicit"
     SEND_COST = 15.0
@@ -42,13 +69,8 @@ class ImplicitConnection(ConnectionManagement):
 
     def __init__(self) -> None:
         super().__init__()
-        self._connected = True
+        self.state = "open"
         self._first_data_sent = False
-        self._closed = False
-
-    @property
-    def connected(self) -> bool:
-        return self._connected and not self._closed
 
     def active_open(self) -> None:
         # Nothing on the wire; the session may transmit immediately.
@@ -56,9 +78,7 @@ class ImplicitConnection(ConnectionManagement):
             self.session.notify_connected()
 
     def passive_open(self, pdu: PDU) -> None:
-        # Creation of the session *is* the establishment.
-        if self.session is not None:
-            self.session.notify_connected()
+        self.active_open()  # creation of the session *is* the establishment
 
     def piggyback_config(self) -> Optional[dict]:
         if self._first_data_sent:
@@ -69,42 +89,36 @@ class ImplicitConnection(ConnectionManagement):
         # can synthesize a matching session with zero setup round trips
         return self.session.cfg.to_dict()
 
-    def handle_control(self, pdu: PDU) -> bool:
-        if pdu.ptype is PduType.FIN:
-            self._closed = True
-            self.session.emit_pdu(self.session.make_pdu(PduType.FIN_ACK))
-            self.session.notify_closed()
-            return True
-        if pdu.ptype is PduType.FIN_ACK:
-            self._closed = True
-            self.session.notify_closed()
-            return True
-        return False
-
     def close(self) -> None:
         # Implicit close is still announced so the peer can free resources,
         # but the closer does not wait for the FIN-ACK (non-blocking).
-        if not self._closed:
-            self._closed = True
-            self.session.emit_pdu(self.session.make_pdu(PduType.FIN))
-            self.session.notify_closed()
+        s = self.session
+        if self.state == "open":
+            self.state = "closed"
+            s.emit_pdu(s.make_pdu(PduType.FIN))
+        s._end(GRACEFUL_CLOSE)
 
     def adopt(self, old: "ConnectionManagement") -> None:
-        self._connected = old.connected
+        self.state = "open" if old.connected else "closed"
         self._first_data_sent = True
 
 
-class _ExplicitBase(ConnectionManagement):
-    """Shared SYN machinery for the explicit handshake variants."""
+class _ExplicitBase(_SchemeBase):
+    """Shared SYN / FIN machinery for the explicit handshake variants.
 
-    __slots__ = ("state", "_retries", "_syn_timer")
+    Each waiting state — ``syn-sent``, ``syn-rcvd``, ``fin-wait`` — resends
+    its PDU (SYN, SYN-ACK, FIN) on one timer after ``rto_initial · 2^k``;
+    after ``MAX_HANDSHAKE_RETRIES`` the session ends with a timeout reason.
+    """
+
+    __slots__ = ("_retries", "_syn_timer")
 
     SEND_COST = 30.0
     RECV_COST = 30.0
 
     def __init__(self) -> None:
         super().__init__()
-        self.state = "closed"  # closed/syn-sent/syn-rcvd/open/fin-wait/closing
+        self.state = "closed"  # closed/syn-sent/syn-rcvd/open/fin-wait
         self._retries = 0
         self._syn_timer = None
 
@@ -114,63 +128,58 @@ class _ExplicitBase(ConnectionManagement):
             self._syn_timer = None  # timer -> bound method -> self is a cycle
         super().unbind()
 
-    @property
-    def connected(self) -> bool:
-        return self.state == "open"
-
     def piggyback_config(self) -> Optional[dict]:
         return None  # config was exchanged during the handshake
 
-    # -- active side ----------------------------------------------------
     def active_open(self) -> None:
         assert self.session is not None
-        self.state = "syn-sent"
-        self._send_syn()
+        self._wait("syn-sent")
 
-    def _send_syn(self) -> None:
+    def _wait(self, state: str) -> None:
+        """Enter a waiting state: send its PDU, start the retry count."""
+        self.state = state
+        self._retries = 0
+        self._send_waiting_pdu()
+
+    def _send_waiting_pdu(self) -> None:
         s = self.session
-        syn = s.make_pdu(PduType.SYN)
-        syn.options["cfg"] = s.cfg.to_dict()
-        syn.options["window"] = s.cfg.window
-        s.emit_control(syn)
+        if self.state == "syn-sent":
+            syn = s.make_pdu(PduType.SYN)
+            syn.options["cfg"] = s.cfg.to_dict()
+            syn.options["window"] = s.cfg.window
+            s.emit_control(syn)
+        elif self.state == "syn-rcvd":
+            s.emit_control(s.make_pdu(PduType.SYN_ACK))
+        else:  # fin-wait: in-band, behind the session's final data
+            s.emit_pdu(s.make_pdu(PduType.FIN))
         if self._syn_timer is None:
-            self._syn_timer = s.timers.timer(self._syn_timeout, interval=s.cfg.rto_initial)
+            self._syn_timer = s.timers.timer(self._timeout, interval=s.cfg.rto_initial)
         self._syn_timer.schedule(s.cfg.rto_initial * (2 ** self._retries))
 
-    def _syn_timeout(self) -> None:
-        if self.state not in ("syn-sent", "syn-rcvd"):
+    def _timeout(self) -> None:
+        state = self.state
+        if state not in ("syn-sent", "syn-rcvd", "fin-wait"):
             return
         self._retries += 1
         if self._retries > MAX_HANDSHAKE_RETRIES:
             self.state = "closed"
-            self.session.notify_open_failed("handshake timeout")
+            self.session._end(FIN_TIMEOUT if state == "fin-wait"
+                              else f"{HANDSHAKE_TIMEOUT}: {state}")
             return
         self.session.stats.control_retransmissions += 1
-        self._send_syn()
+        self._send_waiting_pdu()
 
-    # -- teardown ---------------------------------------------------------
+    def _opened(self) -> None:
+        self.state = "open"
+        if self._syn_timer is not None:
+            self._syn_timer.cancel()
+
     def close(self) -> None:
-        s = self.session
         if self.state != "open":
             self.state = "closed"
-            s.notify_closed()
+            self.session._end(GRACEFUL_CLOSE)
             return
-        self.state = "fin-wait"
-        s.emit_pdu(s.make_pdu(PduType.FIN))
-
-    def _handle_common_control(self, pdu: PDU) -> bool:
-        s = self.session
-        if pdu.ptype is PduType.FIN:
-            self.state = "closed"
-            s.emit_pdu(s.make_pdu(PduType.FIN_ACK))
-            s.notify_closed()
-            return True
-        if pdu.ptype is PduType.FIN_ACK:
-            if self.state == "fin-wait":
-                self.state = "closed"
-                s.notify_closed()
-            return True
-        return False
+        self._wait("fin-wait")
 
     def adopt(self, old: "ConnectionManagement") -> None:
         # A live session never re-handshakes; inherit openness.
@@ -202,12 +211,10 @@ class Explicit2Way(_ExplicitBase):
             return True
         if pdu.ptype is PduType.SYN_ACK:
             if self.state == "syn-sent":
-                self.state = "open"
-                if self._syn_timer is not None:
-                    self._syn_timer.cancel()
+                self._opened()
                 s.notify_connected()
             return True
-        return self._handle_common_control(pdu)
+        return super().handle_control(pdu)
 
 
 class Explicit3Way(_ExplicitBase):
@@ -221,25 +228,9 @@ class Explicit3Way(_ExplicitBase):
 
     def passive_open(self, pdu: PDU) -> None:
         s = self.session
-        self.state = "syn-rcvd"
         s.state.peer_window = pdu.options.get("window", s.state.peer_window)
-        s.emit_control(s.make_pdu(PduType.SYN_ACK))
-        # Guard against a lost CONFIRM with the SYN retransmit timer.
-        if self._syn_timer is None:
-            self._syn_timer = s.timers.timer(self._synack_timeout, interval=s.cfg.rto_initial)
-        self._syn_timer.schedule(s.cfg.rto_initial)
-
-    def _synack_timeout(self) -> None:
-        if self.state != "syn-rcvd":
-            return
-        self._retries += 1
-        if self._retries > MAX_HANDSHAKE_RETRIES:
-            self.state = "closed"
-            self.session.notify_open_failed("handshake timeout (syn-rcvd)")
-            return
-        self.session.stats.control_retransmissions += 1
-        self.session.emit_control(self.session.make_pdu(PduType.SYN_ACK))
-        self._syn_timer.schedule(self.session.cfg.rto_initial * (2 ** self._retries))
+        # a lost CONFIRM is covered by the SYN-ACK's retransmissions
+        self._wait("syn-rcvd")
 
     def handle_control(self, pdu: PDU) -> bool:
         s = self.session
@@ -249,9 +240,7 @@ class Explicit3Way(_ExplicitBase):
             return True
         if pdu.ptype is PduType.SYN_ACK:
             if self.state == "syn-sent":
-                self.state = "open"
-                if self._syn_timer is not None:
-                    self._syn_timer.cancel()
+                self._opened()
                 s.emit_control(s.make_pdu(PduType.CONFIRM))
                 s.notify_connected()
             else:
@@ -260,9 +249,7 @@ class Explicit3Way(_ExplicitBase):
             return True
         if pdu.ptype is PduType.CONFIRM:
             if self.state == "syn-rcvd":
-                self.state = "open"
-                if self._syn_timer is not None:
-                    self._syn_timer.cancel()
+                self._opened()
                 s.notify_connected()
             return True
-        return self._handle_common_control(pdu)
+        return super().handle_control(pdu)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.mechanisms.base import ErrorRecovery
+from repro.tko.ends import RETRANSMISSION_LIMIT
 from repro.tko.pdu import PDU
 
 #: duplicate-ACK count that triggers fast retransmit
@@ -150,7 +151,7 @@ class _RetransmitBase(ErrorRecovery):
         s = self.session
         for entry in s.state.outstanding.values():
             if entry.retries > s.cfg.max_retries:
-                s.abort("retransmission limit exceeded")
+                s.abort(RETRANSMISSION_LIMIT)
                 return True
         return False
 

@@ -40,6 +40,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.timers import TimerWheel
 from repro.tko.config import SessionConfig
 from repro.tko.context import TKOContext
+from repro.tko.ends import GRACEFUL_CLOSE
 from repro.tko.executor import CompiledExecutor
 from repro.tko.pdu import PDU, PDU_POOL, PduType
 from repro.tko.pipeline import NETWORK_HEADER_BYTES
@@ -72,7 +73,7 @@ class TKOSession:
     __slots__ = (
         "host", "sim", "cfg", "context", "conn_id", "local_port",
         "remote_host", "remote_port", "on_deliver", "on_connected",
-        "on_closed", "on_open_failed", "on_signalling", "protocol",
+        "on_ended", "on_signalling", "protocol",
         "state", "recv_window", "reassembler", "rtt", "stats", "timers",
         "copy_meter", "observers", "executor", "_send_queue", "_pump_event",
         "_closing", "_closed", "_paused", "_drain_waiters", "_pdu_buffers",
@@ -90,8 +91,7 @@ class TKOSession:
         remote_port: int,
         on_deliver: Optional[Callable[[bytes, dict], None]] = None,
         on_connected: Optional[Callable[[], None]] = None,
-        on_closed: Optional[Callable[[], None]] = None,
-        on_open_failed: Optional[Callable[[str], None]] = None,
+        on_ended: Optional[Callable[[str], None]] = None,
         protocol: Optional[Any] = None,
         pipeline_specs: Optional[dict] = None,
         shared_pipeline: Optional[Any] = None,
@@ -106,8 +106,9 @@ class TKOSession:
         self.remote_port = remote_port
         self.on_deliver = on_deliver
         self.on_connected = on_connected
-        self.on_closed = on_closed
-        self.on_open_failed = on_open_failed
+        #: called once, with a :mod:`repro.tko.ends` reason, however the
+        #: session ends (close, abort, handshake or FIN give-up)
+        self.on_ended = on_ended
         self.on_signalling: Optional[Callable[[PDU], None]] = None
         self.protocol = protocol
 
@@ -213,12 +214,6 @@ class TKOSession:
         # can shadow it on the instance; the executor routes through here
         self.executor.handle_ack(pdu, from_host)
 
-    def _finalize_ack(self, seq: int) -> None:
-        self.executor.finalize_ack(seq)
-
-    def _transmit(self, pdu: PDU, control: bool) -> None:
-        self.executor.transmit(pdu, control)
-
     # ------------------------------------------------------------------
     # quiesce (mid-stream renegotiation support)
     # ------------------------------------------------------------------
@@ -273,16 +268,7 @@ class TKOSession:
 
     def abort(self, reason: str) -> None:
         """Non-graceful termination: buffered data is abandoned."""
-        if self._closed:
-            return
-        self.stats.aborted = reason
-        self._notify("abort", reason=reason)
-        on_open_failed, on_closed = self.on_open_failed, self.on_closed
-        self._teardown()
-        if on_open_failed is not None and self.stats.established_at is None:
-            on_open_failed(reason)
-        elif on_closed is not None:
-            on_closed()
+        self._end(reason)
 
     # ------------------------------------------------------------------
     # reconfiguration (segue)
@@ -328,7 +314,7 @@ class TKOSession:
             return
         for seq in list(self.state.outstanding):
             if pending(seq):
-                self._finalize_ack(seq)
+                self.executor.finalize_ack(seq)
         self.pump()
 
     def _refresh_pooling(self) -> None:
@@ -411,24 +397,19 @@ class TKOSession:
                 self.on_connected()
         self.pump()
 
-    def notify_closed(self) -> None:
+    def _end(self, reason: str) -> None:
+        """The one way a session ends: tear down, then ``on_ended(reason)``."""
         if self._closed:
             return
-        self._notify("close")
-        on_closed = self.on_closed
+        if reason == GRACEFUL_CLOSE:
+            self._notify("close")
+        else:
+            self.stats.aborted = reason
+            self._notify("abort", reason=reason)
+        on_ended = self.on_ended
         self._teardown()
-        if on_closed is not None:
-            on_closed()
-
-    def notify_open_failed(self, reason: str) -> None:
-        if self._closed:
-            return
-        self.stats.aborted = reason
-        self._notify("abort", reason=reason)
-        on_open_failed = self.on_open_failed
-        self._teardown()
-        if on_open_failed is not None:
-            on_open_failed(reason)
+        if on_ended is not None:
+            on_ended(reason)
 
     def _maybe_finish_close(self) -> None:
         if not self._closing or self._closed:
@@ -438,14 +419,14 @@ class TKOSession:
         flush = getattr(self.context.recovery, "flush", None)
         if flush is not None:
             for extra in flush():
-                self._transmit(extra, control=False)
+                self.executor.transmit(extra, False)
         self.context.connection.close()
 
     def _teardown(self) -> None:
         self._closed = True
         self.stats.closed_at = self.now
         # a drain can no longer complete; its initiator learns the outcome
-        # from the session's close/abort callbacks instead
+        # from the session's on_ended instead
         self._drain_waiters.clear()
         # an abort abandons data still queued or awaiting acknowledgement;
         # the retransmission queue's creator references die with it, or
@@ -479,8 +460,8 @@ class TKOSession:
         self.executor.retire(_CLOSED)
         self.state = self.recv_window = self.reassembler = None
         self.timers = self._gap_timer = self._pdu_buffers = None
-        self.on_deliver = self.on_connected = self.on_closed = None
-        self.on_open_failed = self.on_signalling = None
+        self.on_deliver = self.on_connected = self.on_ended = None
+        self.on_signalling = None
         self.observers.clear()  # stays a list: a tracer may still detach
 
 

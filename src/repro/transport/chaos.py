@@ -107,16 +107,17 @@ def run_impaired_transfer(
                   stop_when=lambda: len(got) >= len(payloads), poll=poll)
         conn.close()
 
-        # quiesce: FIN/ACK exchanges, in-flight duplicates, and lossy
-        # signalling retransmissions must all resolve before the pool
-        # balance means anything — run until it does (bounded)
-        def _balanced() -> bool:
-            return (PDU_POOL.acquired - pool0[0]
-                    == PDU_POOL.recycled - pool0[1])
+        # quiesce: FIN/ACK exchanges (a lost one is retried until the
+        # closer gives up), in-flight duplicates, and lossy signalling
+        # retransmissions must all resolve before the pool balance means
+        # anything — run until they do (bounded)
+        def _settled() -> bool:
+            return conn.session.closed and (PDU_POOL.acquired - pool0[0]
+                                            == PDU_POOL.recycled - pool0[1])
 
         sys_a.run(until=ta.clock.now() + 0.5, poll=poll)
         sys_a.run(until=ta.clock.now() + 60.0,
-                  stop_when=_balanced, poll=poll)
+                  stop_when=_settled, poll=poll)
 
     trace = list(imp_a.trace) + ["--"] + list(imp_b.trace)
     result: Dict[str, Any] = {

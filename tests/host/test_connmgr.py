@@ -14,6 +14,7 @@ from repro.mantts.qos import QuantitativeQoS
 from repro.mantts.tsc import APP_PROFILES
 from repro.netsim.profiles import ethernet_10, linear_path
 from repro.sim.kernel import Simulator
+from repro.tko import ends
 
 SERVICE_PORT = 7000
 
@@ -210,10 +211,11 @@ class TestConnectionTable:
         sysm, a, b = build()
         acd = ACD(participants=("C",), service_port=SERVICE_PORT,
                   quantitative=QuantitativeQoS(duration=600))
-        a.mantts.open(acd)  # no such host: negotiation times out
+        a.mantts.open(acd)  # no such host: no route to it
         sysm.run(until=12.0)
         manager = a.mantts.manager
-        assert manager.failed_total == 1
+        assert manager.snapshot()["conn_failed_total"] == 1.0
+        assert manager.failed_by_reason == {ends.PEER_DEAD: 1}
         assert len(manager) == 0
 
     def test_defer_coalesces_equal_deadlines(self):

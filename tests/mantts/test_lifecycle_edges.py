@@ -3,7 +3,7 @@
 The establishment state machine must stay single-shot no matter how its
 callbacks interleave: a failure before ``begin()`` (spans still NULL), a
 negotiation reply arriving after the timeout already failed the attempt,
-and a double ``fail()`` must each produce exactly one application callback
+and a second ``ended()`` must each produce exactly one application callback
 and exactly one ended telemetry span."""
 
 from repro.core.system import AdaptiveSystem
@@ -12,6 +12,7 @@ from repro.mantts.api import AdaptiveConnection
 from repro.mantts.lifecycle import NEGOTIATION_TIMEOUT
 from repro.mantts.qos import QualitativeQoS, QuantitativeQoS
 from repro.netsim.profiles import ethernet_10, linear_path
+from repro.tko.ends import GRACEFUL_CLOSE
 from repro.unites.obs.telemetry import TELEMETRY
 
 
@@ -43,13 +44,13 @@ class TestFailBeforeBegin:
         )
         # begin() never ran: both spans are still NULL_SPAN and must be
         # end()-able without blowing up
-        conn.lifecycle.fail("aborted before establishment")
+        conn.lifecycle.ended("aborted before establishment")
         assert failures == ["aborted before establishment"]
         assert conn._failed and not conn._established
         # terminal guards: nothing may resurrect or re-report the attempt
         conn.lifecycle.connected()
-        conn.lifecycle.closed()
-        conn.lifecycle.fail("again")
+        conn.lifecycle.ended(GRACEFUL_CLOSE)
+        conn.lifecycle.ended("again")
         assert failures == ["aborted before establishment"]
         assert connects == [] and closes == []
 
@@ -57,8 +58,8 @@ class TestFailBeforeBegin:
         sysm, a, b = world()
         failures = []
         conn = AdaptiveConnection(a.mantts, explicit_acd(), on_failed=failures.append)
-        conn.lifecycle.fail("first")
-        conn.lifecycle.fail("second")
+        conn.lifecycle.ended("first")
+        conn.lifecycle.ended("second")
         assert failures == ["first"]
 
 
@@ -123,7 +124,7 @@ class TestSpansEndExactlyOnce:
             assert setup_spans[0].args["outcome"] == "failed"
             # stress the terminal guards: none of these may buffer another
             # ended span for the same establishment
-            conn.lifecycle.fail("again")
+            conn.lifecycle.ended("again")
             conn.lifecycle.connected()
             handler = a.mantts._pending.pop(f"{conn.ref}:B:first")
             handler({"type": "open-accept", "from": "B",

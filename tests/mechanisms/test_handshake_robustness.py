@@ -1,20 +1,23 @@
 """Deterministic handshake-robustness tests.
 
-Each test surgically drops one specific control PDU by intercepting the
-initiating session's (or responder's) ``emit_control`` and verifies the
-handshake state machines recover via their retransmission timers —
-lost SYN, lost SYN-ACK, lost CONFIRM, duplicate SYN.
+Each test surgically drops one specific PDU where the session emits it —
+``emit_control`` for the handshake (SYN family), ``emit_pdu`` for the
+in-band teardown (FIN, FIN-ACK) — and verifies the state machines
+recover via their retransmission timer: lost SYN, lost SYN-ACK, lost
+CONFIRM, duplicate SYN, lost FIN, lost FIN-ACK.
 """
 
 
+from repro.mechanisms.connection import MAX_HANDSHAKE_RETRIES
 from repro.tko.config import SessionConfig
+from repro.tko.ends import FIN_TIMEOUT, GRACEFUL_CLOSE
 from repro.tko.pdu import PduType
 from tests.conftest import TwoHosts
 
 
-def drop_nth_control(session, ptype: PduType, n: int = 1):
-    """Make ``session`` silently drop its n-th control PDU of ``ptype``."""
-    original = session.emit_control
+def drop_nth(session, ptype: PduType, n: int = 1, path: str = "emit_control"):
+    """Make ``session`` silently drop its n-th PDU of ``ptype`` on ``path``."""
+    original = getattr(session, path)
     state = {"seen": 0}
 
     def filtered(pdu):
@@ -24,7 +27,7 @@ def drop_nth_control(session, ptype: PduType, n: int = 1):
                 return  # dropped on the floor
         original(pdu)
 
-    session.emit_control = filtered
+    setattr(session, path, filtered)
     return state
 
 
@@ -37,7 +40,7 @@ class TestLostHandshakePdus:
             SessionConfig(connection="explicit-3way"), "B", 7000,
             on_connected=lambda: connected.append(w.sim.now),
         )
-        dropped = drop_nth_control(s, PduType.SYN, n=1)
+        dropped = drop_nth(s, PduType.SYN, n=1)
         s.connect()
         w.sim.run(until=10.0)
         assert connected, "handshake never completed after SYN loss"
@@ -66,7 +69,7 @@ class TestLostHandshakePdus:
         w = TwoHosts()
         w.listen(SessionConfig(connection="explicit-3way"))
         s = w.pa.create_session(SessionConfig(connection="explicit-3way"), "B", 7000)
-        dropped = drop_nth_control(s, PduType.CONFIRM, n=1)
+        dropped = drop_nth(s, PduType.CONFIRM, n=1)
         s.connect()
         w.sim.run(until=10.0)
         # initiator opened on SYN-ACK; responder, whose CONFIRM was lost,
@@ -81,16 +84,40 @@ class TestLostHandshakePdus:
     def test_fin_ack_loss_does_not_wedge_peer(self):
         w = TwoHosts()
         w.listen()
-        s = w.open(SessionConfig(connection="explicit-2way"))
+        ended = []
+        s = w.open(SessionConfig(connection="explicit-2way"), on_ended=ended.append)
         s.send(b"payload")
         w.sim.run(until=1.0)
         rx = w.rx_sessions[0]
-        # the responder's FIN-ACK is dropped: the closer already released
-        # state on its side; the responder closed when it sent the FIN-ACK
-        drop_nth_control(rx, PduType.FIN_ACK, n=1)
+        # FIN and FIN-ACK travel in-band: drop the responder's FIN-ACK there
+        dropped = drop_nth(rx, PduType.FIN_ACK, n=1, path="emit_pdu")
         s.close()
-        w.sim.run(until=15.0)
+        w.sim.run(until=120.0)
+        assert dropped["seen"] == 1
+        # the responder ended when it answered; the closer's FIN retries
+        # find no session, and it gives up after the SYN timer's backoff
         assert rx.closed
+        assert ended == [FIN_TIMEOUT] and s.stats.aborted == FIN_TIMEOUT
+        rto = s.cfg.rto_initial
+        assert s.stats.closed_at - 1.0 <= rto * 2 ** (MAX_HANDSHAKE_RETRIES + 1) + 0.1
+        assert s.stats.control_retransmissions == MAX_HANDSHAKE_RETRIES
+        assert w.ha.ports.demux(s.local_port, "B", 7000) is None
+
+    def test_lost_fin_is_retransmitted(self):
+        w = TwoHosts()
+        w.listen()
+        ended = []
+        s = w.open(SessionConfig(connection="explicit-2way"), on_ended=ended.append)
+        s.send(b"payload")
+        w.sim.run(until=1.0)
+        rx = w.rx_sessions[0]
+        dropped = drop_nth(s, PduType.FIN, n=1, path="emit_pdu")
+        s.close()
+        w.sim.run(until=10.0)
+        # the second FIN reaches the peer: both ends close gracefully
+        assert dropped["seen"] == 2 and s.stats.control_retransmissions == 1
+        assert ended == [GRACEFUL_CLOSE] and s.stats.aborted is None
+        assert rx.closed and rx.stats.aborted is None
 
 
 class TestHandshakeGiveUp:
@@ -100,7 +127,7 @@ class TestHandshakeGiveUp:
         failures = []
         s = w.pa.create_session(
             SessionConfig(connection="explicit-3way"), "B", 7000,
-            on_open_failed=failures.append,
+            on_ended=failures.append,
         )
         # drop every SYN: the initiator must give up, not spin forever
         original = s.emit_control

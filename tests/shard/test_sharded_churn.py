@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.churn import (
     GroupedChurnScenario,
+    grouped_duration,
     grouped_identity_fields,
     merge_conn_digests,
     run_grouped_churn,
@@ -19,7 +20,7 @@ from repro.core.churn import (
 )
 from repro.shard.coordinator import ShardCoordinator, ShardSyncError
 from tests import golden
-from tests.conftest import leaks
+from tests.conftest import SETTLE_S, leaks
 
 N = 48          # small but real: all four classes, crosses in every group
 GROUPS = 4
@@ -39,9 +40,13 @@ class TestSerialGroupedScenario:
         assert serial["delivered"] > 0
 
     def test_nothing_outlives_its_session(self, serial):
-        # (one initiator sent the FIN nobody answered and is closing for
-        # ever: busyness the checker names — ROADMAP item 3 — not a leak)
+        # at the horizon one initiator (A0:14) is still retrying a FIN
+        # nobody answers: busyness, not a leak ...
         assert leaks(serial["quiescence"]) == []
+        # ... and once its retries have run out, the world is quiescent
+        s = GroupedChurnScenario(n_connections=N, n_groups=GROUPS, seed=SEED)
+        s.run(until=grouped_duration(N) + SETTLE_S)
+        assert s.system.check_quiescent() == []
 
     def test_serial_rerun_is_bit_identical(self, serial):
         again = run_grouped_churn(n_connections=N, n_groups=GROUPS, seed=SEED)

@@ -19,8 +19,8 @@ module may be in the start-up set, so the baseline cannot hide the
 program's own imports; a deny-listed module that start-up already loaded
 cannot be charged to the program on such an interpreter.  The ceiling
 counts every module, start-up's included.  On py3.11 the counts after the
-import / after ``AdaptiveSystem()`` read 274 / 286 with no start-up hook
-and 305 / 316 on an interpreter whose hook imports ``certifi``.
+import / after ``AdaptiveSystem()`` read 275 / 287 with no start-up hook
+and 306 / 317 on an interpreter whose hook imports ``certifi``.
 """
 
 import json

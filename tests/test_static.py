@@ -122,3 +122,63 @@ def test_nothing_under_src_reaches_into_an_instance_dict():
                     and node.func.id == "vars"):
                 offenders.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
     assert not offenders, "\n".join(offenders)
+
+
+#: the old terminal fork: a session ended through close *or* open-failure,
+#: and a responder's state was released on one of the two only.  Each layer
+#: now has one end path (``TKOSession._end`` → ``on_ended``,
+#: ``ConnectionLifecycle.ended``, ``ConnectionManager.connection_ended``,
+#: ``MANTTS._responder_ended``); none of these names may come back
+FORK = {"notify_closed", "notify_open_failed", "on_open_failed",
+        "connection_failed", "release_then"}
+
+
+def names_used(path: Path) -> set:
+    """Every identifier ``path`` defines, reads, assigns or passes by keyword."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.keyword, ast.arg)) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def test_one_end_path_per_layer():
+    offenders = [f"{path.relative_to(SRC.parent)}: {name}"
+                 for path in sorted(SRC.rglob("*.py"))
+                 for name in sorted(names_used(path) & FORK)]
+    assert not offenders, "\n".join(offenders)
+    # the rule still reads what it guards: the one path is there
+    for module, name in (("tko/session.py", "_end"), ("tko/session.py", "on_ended"),
+                         ("mantts/lifecycle.py", "ended"),
+                         ("host/connmgr.py", "connection_ended"),
+                         ("mantts/api.py", "_responder_ended")):
+        assert name in names_used(SRC / module), (module, name)
+
+
+def leads_with_a_name(arg: ast.expr) -> bool:
+    """An end reason leads with a name (a ``repro.tko.ends`` constant, or a
+    reason passed on), never with a string literal of its own."""
+    if isinstance(arg, ast.IfExp):
+        return leads_with_a_name(arg.body) and leads_with_a_name(arg.orelse)
+    if isinstance(arg, ast.JoinedStr):
+        first = arg.values[0] if arg.values else None
+        return isinstance(first, ast.FormattedValue) and leads_with_a_name(first.value)
+    return isinstance(arg, (ast.Name, ast.Attribute))
+
+
+def test_every_end_names_a_reason_from_the_closed_set():
+    calls = [(path, node) for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("abort", "_end", "ended")]
+    assert len(calls) >= 10  # the walk found the raisers
+    offenders = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+                 for path, node in calls
+                 if not node.args or not leads_with_a_name(node.args[0])]
+    assert not offenders, "\n".join(offenders)

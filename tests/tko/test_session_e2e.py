@@ -43,7 +43,7 @@ class TestEstablishment:
             SessionConfig(connection="explicit-2way"),
             "B",
             9999,
-            on_open_failed=failures.append,
+            on_ended=failures.append,
         )
         s.connect()
         w.sim.run(until=60.0)
