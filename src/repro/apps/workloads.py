@@ -1,13 +1,18 @@
-"""Workload base machinery and the receive-side quality tracker."""
+"""Workload base machinery and the receive-side quality tracker.
+
+numpy is imported where a source builds its default generator or a
+tracker computes a statistic, not with the module.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class AppSource:
@@ -24,7 +29,11 @@ class AppSource:
         self.sim = sim
         self.sender = sender
         self.name = name
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(0)
+        self.rng = rng
         self.messages_sent = 0
         self.bytes_sent = 0
         self.send_errors = 0
@@ -92,14 +101,20 @@ class DeliveryTracker:
     # ------------------------------------------------------------------
     @property
     def mean_latency(self) -> float:
+        import numpy as np
+
         return float(np.mean(self.latencies)) if self.latencies else 0.0
 
     @property
     def p95_latency(self) -> float:
+        import numpy as np
+
         return float(np.percentile(self.latencies, 95)) if self.latencies else 0.0
 
     @property
     def jitter(self) -> float:
+        import numpy as np
+
         return float(np.std(self.latencies)) if len(self.latencies) > 1 else 0.0
 
     def goodput_bps(self) -> float:

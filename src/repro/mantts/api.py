@@ -40,6 +40,7 @@ from repro.mantts.resources import ResourceManager
 from repro.mantts.scs import SCS
 from repro.mantts.transform import specify_scs
 from repro.mantts.tsc import TSC
+from repro.tko import ends
 from repro.tko.config import SessionConfig
 from repro.tko.protocol import TKOProtocol
 from repro.tko.session import TKOSession
@@ -578,6 +579,8 @@ class AdaptiveConnection:
             )
         if self.session is not None:
             self.session.close()
+        else:  # negotiation in flight (or already ended): end the open
+            self.lifecycle.ended(ends.GRACEFUL_CLOSE)
 
     # ------------------------------------------------------------------
     # adaptation (the §4.1.2 reconfiguration actions)

@@ -146,7 +146,7 @@ class ConnectionLifecycle:
 
         def reply_handler(member: str):
             def on_reply(msg: dict) -> None:
-                if self.failed or self.established:
+                if self.conn is None or self.established:  # ended, or done
                     return
                 results[member] = msg
                 outstanding.discard(member)
@@ -228,7 +228,7 @@ class ConnectionLifecycle:
         self.sent_refs.clear()
 
     def _negotiation_timeout(self, outstanding: set) -> None:
-        if self.established or self.failed:
+        if self.established or self.conn is None:
             return
         m = self.conn.mantts
         if self._setup_attempts < m.negotiation_retries:
@@ -267,7 +267,7 @@ class ConnectionLifecycle:
             )
 
         def go() -> None:
-            if not self.established and not self.failed:
+            if not self.established and self.conn is not None:
                 self.negotiate_explicit()
 
         self.sim.schedule(delay, go)
@@ -448,20 +448,23 @@ class ConnectionLifecycle:
     def ended(self, reason: str) -> None:
         """The one terminal transition, whatever ended the connection: it
         leaves both tables and the handle retires, once.  A failed open
-        (:func:`repro.tko.ends.failed_open`) rolls its reservations back
-        and fires ``on_failed(reason)``; every other end ``on_closed()``."""
+        (:func:`repro.tko.ends.failed_open`) fires ``on_failed(reason)``;
+        every other end ``on_closed()``.  A failed open, and one closed
+        while its negotiation was still in flight, roll back what the
+        responders admitted for it."""
         c = self.conn
         if c is None:  # already ended: nothing may re-report it
             return
         self.failed = ends.failed_open(reason, self.established)
-        if self.failed:
-            self.nego_span.end(outcome="fail")
-            self.setup_span.end(outcome="failed", reason=reason)
-            if _AUDIT.enabled:
+        if self.failed or c.session is None:
+            self.nego_span.end(outcome="fail" if self.failed else "closed")
+            self.setup_span.end(outcome="failed" if self.failed else "closed",
+                                reason=reason)
+            if self.failed and _AUDIT.enabled:
                 _AUDIT.note_teardown(c.ref, reason)
-            # roll back any reservation a responder admitted for us: a
-            # refused/timed-out open must not leave the remote ledger
-            # charged (the recipient no-ops when it holds nothing)
+            # a refused, timed-out or abandoned open must not leave the
+            # remote ledger charged (the recipient no-ops when it holds
+            # nothing)
             self._abort_sent_refs()
         c.mantts.connections.pop(c.ref, None)
         c.mantts.manager.connection_ended(c, reason)

@@ -12,6 +12,9 @@ with zero additional latency at the price of constant bandwidth overhead.
   GF(256) (:mod:`repro.mechanisms.gf256`): repairs up to ``r`` losses per
   group (overhead r/k).
 
+Both import :mod:`repro.mechanisms.gf256` (numpy and its 64 KiB table) at
+their first encode or decode, so a world that never codes never loads it.
+
 Group metadata (member sequence numbers, fragment identities, original
 sizes) rides the PARITY PDU as ``aux_size`` header bytes so the receiver
 can rebuild the *exact* missing DATA PDUs, not just their payload bytes.
@@ -21,9 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
-
-from repro.mechanisms import gf256
 from repro.mechanisms.base import ErrorRecovery, StageSpec
 from repro.tko.message import TKOMessage
 from repro.tko.pdu import PDU, PduType
@@ -262,6 +262,8 @@ class FecXor(_FecBase):
         return 1  # XOR supports exactly one parity shard
 
     def encode(self, shards: List[bytes]) -> List[bytes]:
+        from repro.mechanisms import gf256
+
         return [gf256.xor_encode(shards)]
 
     def decode(self, k, r, metas, have, parity):
@@ -269,6 +271,8 @@ class FecXor(_FecBase):
         if len(missing) != 1 or 0 not in parity:
             return None
         length = max(m["size"] for m in metas)
+        from repro.mechanisms import gf256
+
         rec = gf256.xor_recover(list(have.values()), parity[0], length)
         out: List[Optional[bytes]] = []
         for m in metas:
@@ -287,6 +291,8 @@ class FecRS(_FecBase):
     PER_BYTE = 2.0
 
     def encode(self, shards: List[bytes]) -> List[bytes]:
+        from repro.mechanisms import gf256
+
         return gf256.rs_encode(shards, self.r)
 
     def decode(self, k, r, metas, have, parity):
@@ -295,7 +301,9 @@ class FecRS(_FecBase):
         length = max(m["size"] for m in metas)
         seqs = [m["seq"] for m in metas]
         data = {seqs.index(s): b for s, b in have.items()}
+        from repro.mechanisms import gf256
+
         try:
             return gf256.rs_decode(k, r, length, data, dict(parity))
-        except (ValueError, np.linalg.LinAlgError):
+        except ValueError:  # numpy's LinAlgError is a ValueError
             return None

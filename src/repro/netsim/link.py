@@ -16,7 +16,10 @@ between those instants, so nothing is scheduled there (docs/performance.md,
 
 Bit errors are applied per frame with probability ``1 - (1 - BER)**bits``
 using the link's own random stream, so changing one link's traffic never
-perturbs another's error pattern.
+perturbs another's error pattern.  The stream is built at the link's first
+draw: it is a pure function of ``(root_seed, "link:<name>")``, so a late
+build draws what an eager one would, and a link that never sees a BER above
+zero never builds one (nor loads numpy for it).
 """
 
 from __future__ import annotations
@@ -116,7 +119,9 @@ class Link:
         #: needs to judge a frame as of its ``done``.  Empty on a link no
         #: fault ever touched.
         self._changes: list[tuple[float, bool, float]] = []
-        self._rng = rng.stream(f"link:{name}")
+        self._streams = rng
+        #: ``link:<name>`` of ``_streams``, fetched at the first draw
+        self._rng = None
 
     # ------------------------------------------------------------------
     def serialization_time(self, size_bytes: int) -> float:
@@ -260,7 +265,10 @@ class Link:
         # Channel errors are imposed while the frame is on the wire.
         if ber > 0.0 and not frame.corrupted:
             p_err = 1.0 - (1.0 - ber) ** (frame.size * 8)
-            if self._rng.random() < p_err:
+            gen = self._rng
+            if gen is None:
+                gen = self._rng = self._streams.stream(f"link:{self.name}")
+            if gen.random() < p_err:
                 frame.corrupted = True
                 self.stats.corrupted += 1
                 if _TELEMETRY.enabled:

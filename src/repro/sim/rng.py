@@ -10,15 +10,18 @@ UNITES performs (paper §4.3: replace one mechanism, measure the difference
 
 Implementation: each stream is a ``numpy.random.Generator`` seeded from a
 ``SeedSequence`` spawned with a stable hash of the stream name, so stream
-identity depends only on ``(root_seed, name)``.
+identity depends only on ``(root_seed, name)``.  numpy is imported when the
+first stream is built, not with this module: a world that never draws (no
+lossy link, no random traffic) never loads it.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class RngStreams:
@@ -36,6 +39,8 @@ class RngStreams:
         """
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             # zlib.crc32 is stable across runs (unlike hash()) and cheap.
             child = np.random.SeedSequence([self.root_seed, zlib.crc32(name.encode())])
             gen = np.random.default_rng(child)

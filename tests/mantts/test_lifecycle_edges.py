@@ -6,6 +6,8 @@ negotiation reply arriving after the timeout already failed the attempt,
 and a second ``ended()`` must each produce exactly one application callback
 and exactly one ended telemetry span."""
 
+import pytest
+
 from repro.core.system import AdaptiveSystem
 from repro.mantts.acd import ACD
 from repro.mantts.api import AdaptiveConnection
@@ -134,3 +136,35 @@ class TestSpansEndExactlyOnce:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
+
+
+class TestCloseWhileNegotiating:
+    """``close()`` before Stage III built the session ends the open: once,
+    as a graceful close, and the responder gives back what it admitted."""
+
+    @pytest.mark.parametrize("at", [0.0, 0.004])  # before / after B admits
+    def test_close_ends_the_open_and_releases_the_responder(self, at):
+        sysm, a, b = world()
+        b.mantts.register_service(7000, on_deliver=lambda d, m: None)
+        connects, closes, failures, seen = [], [], [], []
+        conn = a.mantts.open(explicit_acd(), on_connected=connects.append,
+                             on_closed=lambda: closes.append(sysm.sim.now),
+                             on_failed=failures.append)
+        assert conn.cfg.connection == "explicit-3way"
+
+        def close():
+            seen.append((conn.session, b.mantts.manager.admission_accepted))
+            conn.close()
+            conn.close()  # a second close finds nothing left to end
+
+        sysm.sim.schedule(at, close)
+        sysm.run(until=60.0)
+        assert seen == [(None, int(at > 0))]
+        assert closes == [at] and connects == [] and failures == []
+        assert conn.session is None and not conn._failed
+        assert a.mantts.manager.ends_by_reason == {GRACEFUL_CLOSE: 1}
+        assert b.mantts.manager.admission_accepted == 1
+        rm = b.mantts.resources
+        assert (rm.reserved_bps, rm.reserved_buffer) == (0, 0)
+        assert not b.mantts._unclaimed and not b.mantts._peer_sessions
+        assert sysm.check_quiescent() == []

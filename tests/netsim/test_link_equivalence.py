@@ -2,7 +2,10 @@
 
 Hypothesis draws a *program* for a two-link path ``A -> S -> B`` through
 one switching node: frames of drawn size and priority injected at drawn
-instants (bursts included), a standing BER on both links, and ``fail`` /
+instants (bursts included), a standing BER on both links (zero included:
+the shipped link builds its random stream at its first draw, the oracle
+in its constructor, so a link born error free that ``set_ber`` raises must
+still draw what the oracle drew), and ``fail`` /
 ``restore`` / ``set_ber`` / ``set_bandwidth`` / ``set_queue_limit`` (plus
 ``Network.fail_link`` / ``restore_link``, which also move the route) at
 drawn instants — which land while a frame waits, while it serializes and
@@ -29,6 +32,7 @@ link by the rule :class:`TestTieRule` pins.
 
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -64,7 +68,7 @@ _program = st.lists(st.tuples(st.integers(0, 400), _op), max_size=40)
 _link = st.fixed_dictionaries({
     "bandwidth_bps": st.sampled_from((4e6, 8e6, 1e8)),
     "delay": st.sampled_from((0.0, 3e-4, 1e-3, 2e-3)),
-    "ber": st.sampled_from((1e-6, 1e-5, 1e-4)),
+    "ber": st.sampled_from((0.0, 1e-6, 1e-5, 1e-4)),
     "queue_limit": st.sampled_from((1, 3, 64)),
 })
 
@@ -206,6 +210,44 @@ def test_the_property_reaches_the_hard_cases():
     assert first.corrupted == 2  # frames 0 and 5, both drawn at BER 1e-4
     assert second.dropped_down == 1
     assert [index for index, *_ in got["delivered"]] == [0, 6]
+
+
+class TestFirstUseRng:
+    """A link builds its ``link:<name>`` stream at its first bit-error
+    draw, so a world whose links never see a BER above zero builds none;
+    that first draw is the one an eager stream would have made."""
+
+    SIZE = 1000
+
+    @pytest.mark.parametrize("corrupts", [True, False])
+    def test_first_draw_is_the_eager_streams_first_draw(self, sim, corrupts):
+        net = Network(sim, RngStreams(5))
+        for name in "AB":
+            net.add_node(name)
+        net.add_link("A", "B", bandwidth_bps=8e6, delay=1e-3, ber=0.0,
+                     bidirectional=False)
+        link = net.links[("A", "B")]
+        got = []
+        net.attach_host("B", got.append)
+        name = f"link:{link.name}"
+        net.send(Frame("A", "B", self.SIZE))
+        sim.run()
+        assert len(got) == 1 and name not in net.rng  # BER 0 draws nothing
+        # a BER whose error probability sits just past the eager first draw
+        eager = RngStreams(5).stream(name)
+        first = eager.random()
+        p_err = first * (1.001 if corrupts else 0.999)
+        net.set_link_ber("A", "B", 1.0 - (1.0 - p_err) ** (1.0 / (self.SIZE * 8)),
+                         bidirectional=False)
+        net.send(Frame("A", "B", self.SIZE))
+        assert name not in net.rng  # sent, not yet judged: that is at landing
+        sim.run()
+        assert name in net.rng
+        assert got[-1].corrupted is corrupts
+        assert link.stats.corrupted == int(corrupts)
+        # one draw, from the stream the table holds for the name
+        assert link._rng is net.rng.stream(name)
+        assert link._rng.bit_generator.state == eager.bit_generator.state
 
 
 class TestTieRule:
