@@ -1,15 +1,16 @@
 """Workload base machinery and the receive-side quality tracker.
 
-numpy is imported where a source builds its default generator or a
-tracker computes a statistic, not with the module.
+numpy is imported where a source draws from a distribution or a tracker
+computes a statistic, not with the module.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
+from repro.sim.rng import Stream
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -25,15 +26,13 @@ class AppSource:
     connection callback fires (or immediately for implicit setups).
     """
 
-    def __init__(self, sim: Simulator, sender: Any, name: str, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, sim: Simulator, sender: Any, name: str,
+                 rng: Optional[Union[Stream, np.random.Generator]] = None) -> None:
         self.sim = sim
         self.sender = sender
         self.name = name
-        if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng(0)
-        self.rng = rng
+        # draw for draw ``numpy.random.default_rng(0)``, built on first use
+        self.rng = Stream([0]) if rng is None else rng
         self.messages_sent = 0
         self.bytes_sent = 0
         self.send_errors = 0

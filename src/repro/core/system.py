@@ -149,7 +149,8 @@ class AdaptiveSystem:
         draining towards its close — is reported as ``not quiescent: …``;
         every other line is a leak: a closed session that is not a
         tombstone, a table entry or a pending kernel event that still
-        points at one, a ``session:*`` RNG stream nobody owns, a ledger
+        points at one, a negotiation reply handler whose connection has
+        ended, a ``session:*`` RNG stream nobody owns, a ledger
         that does not balance, or one that still holds a reservation when
         no connection is open.  (Signalling sessions live as long as their
         host and are not connections.)
@@ -166,6 +167,10 @@ class AdaptiveSystem:
                     out.append(f"connection table entry for ended connection {ref}")
                 else:
                     out.append(f"not quiescent: connection {ref} is open")
+            for ref in sorted(mantts._pending):  # "<conn ref>:<member>:<attempt>"
+                owner = ref.rsplit(":", 2)[0]
+                if owner not in mantts.connections:
+                    out.append(f"reply handler {ref} of ended connection {owner}")
             tables = {
                 "port": node.host.ports.owners(),
                 "protocol": node.protocol.sessions.values(),

@@ -213,9 +213,11 @@ class ConnectionLifecycle:
             c.scs.config = cfg.with_(**overrides)
 
     def _abort_sent_refs(self) -> None:
-        """Tell every responder contacted so far to drop what it admitted."""
+        """Tell every responder contacted so far to drop what it admitted,
+        and forget the reply handlers: a late reply finds none."""
         c = self.conn
         for member, ref in self.sent_refs:
+            c.mantts._pending.pop(ref, None)
             c.mantts._send_signalling(
                 member,
                 {
@@ -243,7 +245,7 @@ class ConnectionLifecycle:
         Every contacted responder gets an ``open-abort`` for the stale
         ref (a reservation its accept may have charged must not stay on
         the remote ledger — the recipient no-ops when it holds nothing),
-        the stale reply handlers are dropped, and a fresh
+        whose reply handler is dropped, and a fresh
         :meth:`negotiate_explicit` is scheduled after an exponential
         backoff with deterministic per-attempt jitter.
         """
@@ -252,8 +254,6 @@ class ConnectionLifecycle:
         c = self.conn
         m = c.mantts
         self.nego_span.end(outcome="timeout-retry")
-        for _, ref in self.sent_refs:
-            m._pending.pop(ref, None)
         self._abort_sent_refs()
         base = m.negotiation_backoff * (2 ** (self._setup_attempts - 1))
         # string-seeded: reproducible per (connection, attempt), and

@@ -12,7 +12,9 @@ drop-tail loss.  Three classical source models are provided:
 
 All loads send plain frames between two nodes of an existing network; the
 frames need no attached host at the sink (the node counts and discards
-them), so loads can be aimed across any path segment.
+them), so loads can be aimed across any path segment.  The Poisson and
+ON/OFF sources draw exponentials from their ``load:<name>`` stream, which
+hands the stream to numpy at its first draw (``repro.sim.rng``).
 """
 
 from __future__ import annotations

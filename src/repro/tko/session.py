@@ -163,7 +163,8 @@ class TKOSession:
 
         Stream identity is ``(root_seed, name)``, so creation time cannot
         change the numbers; a session that never meets a corrupted frame
-        never builds a generator or grows the stream table.
+        never builds a stream or grows the stream table, and the detection
+        miss test (one ``random()`` per corrupted frame) draws without numpy.
         """
         return self.host.network.rng.stream(self._rng_name)
 

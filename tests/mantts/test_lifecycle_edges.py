@@ -12,6 +12,7 @@ from repro.core.system import AdaptiveSystem
 from repro.mantts.acd import ACD
 from repro.mantts.api import AdaptiveConnection
 from repro.mantts.lifecycle import NEGOTIATION_TIMEOUT
+from repro.mantts.negotiation import encode
 from repro.mantts.qos import QualitativeQoS, QuantitativeQoS
 from repro.netsim.profiles import ethernet_10, linear_path
 from repro.tko.ends import GRACEFUL_CLOSE
@@ -22,6 +23,14 @@ def world(seed=0):
     sysm = AdaptiveSystem(seed=seed)
     sysm.attach_network(linear_path(sysm.sim, ethernet_10(), ("A", "B"), rng=sysm.rng))
     return sysm, sysm.node("A"), sysm.node("B")
+
+
+def late_accept(node, conn):
+    """B's accept of the first attempt, arriving after the open ended:
+    handed to A's signalling input exactly as it would come off the wire."""
+    node.mantts._handle_signalling(encode({
+        "type": "open-accept", "ref": f"{conn.ref}:B:first", "from": "B",
+        "config": conn.scs.config.to_dict()}), None)
 
 
 def explicit_acd():
@@ -85,11 +94,7 @@ class TestLateReplyAfterTimeout:
 
     def test_late_accept_cannot_resurrect_failed_connection(self):
         sysm, a, conn, failures, connects = self._timed_out_world()
-        # the reply handler is still registered under the negotiation ref;
-        # deliver the accept "late" exactly as the signalling path would
-        ref = f"{conn.ref}:B:first"
-        handler = a.mantts._pending.pop(ref)
-        handler({"type": "open-accept", "from": "B", "config": conn.scs.config.to_dict()})
+        late_accept(a, conn)
         assert not conn._established
         assert connects == []
         assert len(failures) == 1
@@ -97,6 +102,15 @@ class TestLateReplyAfterTimeout:
     def test_failed_connection_is_deregistered(self):
         sysm, a, conn, failures, connects = self._timed_out_world()
         assert conn.ref not in a.mantts.connections
+
+    def test_failed_open_drops_its_reply_handlers(self):
+        sysm, a, conn, failures, connects = self._timed_out_world()
+        assert not a.mantts._pending
+        assert not [v for v in sysm.check_quiescent() if "reply handler" in v]
+        # one left behind is named as a leak of the ended connection
+        a.mantts._pending[f"{conn.ref}:B:first"] = lambda msg: None
+        assert (f"reply handler {conn.ref}:B:first of ended connection {conn.ref}"
+                in sysm.check_quiescent())
 
     def test_double_connected_fires_callback_once(self):
         sysm, a, b = world(seed=3)
@@ -128,9 +142,7 @@ class TestSpansEndExactlyOnce:
             # ended span for the same establishment
             conn.lifecycle.ended("again")
             conn.lifecycle.connected()
-            handler = a.mantts._pending.pop(f"{conn.ref}:B:first")
-            handler({"type": "open-accept", "from": "B",
-                     "config": conn.scs.config.to_dict()})
+            late_accept(a, conn)
             assert len(TELEMETRY.spans_named("connection-setup")) == 1
             assert len(TELEMETRY.spans_named("negotiation")) == 1
         finally:

@@ -12,10 +12,12 @@ start-up set, and the total stays under a ceiling (649 while ``networkx``,
 was).  Touching the two PEP 562 attributes then loads exactly the objects
 their modules define.
 
-numpy is loaded at a world's first random draw, not with the program: a
-churn world on an error-free LAN runs without it, and the same world on
-the stock LAN, whose links draw for bit errors, loads it — so the first
-half of that check cannot pass by never running the draw path.
+numpy is loaded at a world's first draw from a distribution, not with the
+program or at a uniform draw: the churn world on the stock LAN, whose
+links draw for bit errors, runs without it — and must have built a
+``link:*`` stream, so that half cannot pass by never running the draw
+path — while the same world with a voice source on its own stream, which
+draws exponentials, loads it.
 
 The deny-list is relative to start-up because ``site`` may import modules
 before the child's first line: a ``.pth`` hook in site-packages that runs
@@ -86,29 +88,39 @@ def test_cold_process_loads_only_what_a_simulated_world_runs():
     assert {"asyncio", "http.server"} <= set(seen["after"])
 
 
-#: a 40-connection churn world run to its horizon, on an error-free LAN
-#: (argv "clean") or on the stock one, whose 1e-6 BER links draw
+#: a 40-connection churn world run to its horizon on the stock LAN, whose
+#: 1e-6 BER links draw uniform floats; argv "voice" adds a talk-spurt
+#: source drawing exponentials from its own stream
 CHURN_CHILD = """
 import json, sys
 startup = set(sys.modules)
 from repro.core.churn import ChurnScenario
 sc = ChurnScenario(n_connections=40, seed=7)
-if sys.argv[1] == "clean":
-    for u, v in sc.network.links:
-        sc.network.set_link_ber(u, v, 0.0, bidirectional=False)
+if sys.argv[1] == "voice":
+    from repro.apps.voice import VoiceSource
+
+    class Sink:
+        def send(self, payload):
+            pass
+
+    VoiceSource(sc.system.sim, Sink(), rng=sc.system.rng.stream("voice")).start()
 sc.run(until=20.0)
 print(json.dumps({"established": sc.collect()["established"],
+                  "links": sum(n.startswith("link:") for n in sc.system.rng._streams),
                   "numpy": "numpy" in sys.modules and "numpy" not in startup}))
 """
 
 
 def test_a_world_that_never_draws_never_loads_numpy():
+    """Never draws from a distribution, that is: a world whose every draw
+    is a uniform float runs without numpy; one exponential loads it."""
     seen = {}
-    for lan in ("clean", "stock"):
-        out = subprocess.run([sys.executable, "-c", CHURN_CHILD, lan], check=True,
+    for world in ("stock", "voice"):
+        out = subprocess.run([sys.executable, "-c", CHURN_CHILD, world], check=True,
                              timeout=120, capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-        seen[lan] = json.loads(out.splitlines()[-1])
+        seen[world] = json.loads(out.splitlines()[-1])
     assert all(run["established"] >= 40 for run in seen.values())
-    assert seen["clean"]["numpy"] is False
-    assert seen["stock"]["numpy"] is True
+    assert all(run["links"] >= 1 for run in seen.values())
+    assert seen["stock"]["numpy"] is False
+    assert seen["voice"]["numpy"] is True
