@@ -19,6 +19,7 @@ the frozen values in ``tests/golden.py``.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -553,6 +554,11 @@ class GroupedChurnScenario:
             "n_groups": self.n_groups,
             "established": self.established,
             "failed": self.failed,
+            # why they failed (the owned initiators' end reasons): detail,
+            # not identity
+            "failed_by_reason": dict(sorted(sum(
+                (self.nodes[f"A{g}"].mantts.manager.failed_by_reason
+                 for g in self.owned_groups), Counter()).items())),
             "closed": self.closed,
             "reopened": self.reopened,
             "delivered": self.delivered,
@@ -672,6 +678,9 @@ def merge_sharded_metrics(
         "n_shards": len(shards),
         "established": sum(r["established"] for r in shards),
         "failed": sum(r["failed"] for r in shards),
+        "failed_by_reason": dict(sorted(sum(
+            (Counter(r["failed_by_reason"]) for r in shards),
+            Counter()).items())),
         "closed": sum(r["closed"] for r in shards),
         "reopened": sum(r["reopened"] for r in shards),
         "delivered": sum(r["delivered"] for r in shards),

@@ -1,45 +1,47 @@
-"""The epoch barrier: conservative parallel scheduling over WorkerTeam.
+"""The shard coordinator: set up the epoch mesh, then stand watch.
 
-The synchronous variant of Chandy–Misra–Bryant null messages: instead of
-flooding per-link null messages, a coordinator computes, each epoch,
+Conservative parallel scheduling in the synchronous variant of
+Chandy–Misra–Bryant null messages.  The epoch barrier itself runs among
+the workers (:mod:`repro.shard.worker`): each epoch every shard sends
+every other shard one message and all of them apply the same pure rule,
+:func:`~repro.shard.worker.next_horizon`, to compute the global minimum
+``N`` and the horizon ``H = N + L``.  The parent process is not on that
+path: it builds a full mesh of duplex pipes between the workers (one per
+pair), starts the :class:`~repro.sweep.pool.WorkerTeam`, and then only
+waits for one ``("done", result)`` per worker.
 
-* ``N`` — the global minimum over every shard's next-event time and
-  every still-undelivered cross-shard message's arrival time, and
-* ``H = N + L`` — the horizon, with ``L`` the lookahead (minimum
-  boundary-link propagation delay, :meth:`ShardPlan.lookahead`).
+While it waits it is the world's watchdog.  It waits on every worker's
+pipe and process sentinel together, so
 
-Every event strictly before ``H`` is safe: the earliest anything anywhere
-can execute is ``N``, so the earliest message an epoch can *generate*
-arrives at ``>= N + L = H``.  Workers run ``run_until_horizon(H)``, the
-coordinator routes the outboxes, and the epoch repeats.  When ``H``
-passes the experiment end, one inclusive final stretch
-(``run(until=...)``) reproduces the serial ``run(until)`` semantics
-exactly — leftover cross-frames arrive after ``until`` and would never
-have executed serially either.
+* a worker that raises (its traceback comes over the pipe) or dies (its
+  sentinel fires) is named at once as a
+  :class:`~repro.sweep.pool.WorkerCrashError`; a worker that reports a
+  closed peer pipe names that peer;
+* a worker that goes quiet — no tick for ``recv_timeout`` while its
+  peers keep ticking as they wait on it — is named as wedged;
+* a wedged *barrier* (a horizon that stops advancing with no events
+  dispatched) is detected by the rule in every worker at once and raised
+  here as :class:`ShardSyncError`, as is any disagreement between the
+  workers' epoch counts.
 
-Liveness is enforced twice: the :class:`~repro.sweep.pool.WorkerTeam`
-receive timeout catches a dead or wedged *worker*, and the coordinator's
-progress check catches a wedged *barrier* (a horizon that stops
-advancing with no events dispatched — e.g. a zero-lookahead cycle that
-slipped past plan validation), raising :class:`ShardSyncError` instead
-of spinning forever.
+On any failure the team is terminated at once: a worker blocked on a
+dead peer is never waited on.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.shard.worker import record_shard_metrics, shard_worker_main
-from repro.sweep.pool import WorkerTeam
+from repro.shard.worker import ShardSyncError, record_shard_metrics, shard_worker_main
+from repro.sweep.pool import WorkerCrashError, WorkerTeam
 
-
-class ShardSyncError(RuntimeError):
-    """The epoch barrier stopped making progress (wedged barrier)."""
+__all__ = ["ShardCoordinator", "ShardSyncError"]
 
 
 class ShardCoordinator:
-    """Drive ``n_shards`` worker kernels to ``until`` in lockstep epochs.
+    """Run ``n_shards`` worker kernels to ``until`` in lockstep epochs.
 
     Parameters
     ----------
@@ -53,8 +55,10 @@ class ShardCoordinator:
         derive both from the same plan; see
         :meth:`repro.shard.partition.ShardPlan.lookahead`).
     recv_timeout:
-        Worker-reply budget per barrier, seconds.  Generous by default:
-        it is a crash/wedge detector, not a performance target.
+        How long a worker may go without a sign of life — an epoch
+        finished, or a tick while it waits on a peer — before it is named
+        as wedged.  Generous by default: it is a wedge detector, not a
+        performance target.  A death or a crash is named at once.
     """
 
     def __init__(
@@ -86,100 +90,75 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def run(self) -> Dict[str, Any]:
         """Execute the world; returns per-shard results + barrier stats."""
-        team = WorkerTeam(
-            shard_worker_main,
-            self.n_shards,
-            args_for=lambda i: (self.builder, self.builder_kw),
-            name=self.name,
-            timeout=self.recv_timeout,
-        )
+        n = self.n_shards
+        ctx = multiprocessing.get_context()
+        mesh = [(i, j, *ctx.Pipe(duplex=True))
+                for i in range(n) for j in range(i + 1, n)]
+        args = (self.builder, self.builder_kw, mesh, self.until,
+                self.lookahead, self.recv_timeout / 4)
         try:
-            return self._drive(team)
+            team = WorkerTeam(shard_worker_main, n, args_for=lambda i: args,
+                              name=self.name, timeout=self.recv_timeout,
+                              ctx=ctx)
         finally:
-            team.close(farewell=("stop",))
+            # the workers hold their own ends now; a copy kept here would
+            # keep a dead worker's end open for its peers
+            for _i, _j, end_i, end_j in mesh:
+                end_i.close()
+                end_j.close()
+        ok = False
+        try:
+            results = self._await_done(team)
+            ok = True
+        finally:
+            team.close(join_timeout=5.0 if ok else 0.0)
+        return self._summarise(results)
 
     # ------------------------------------------------------------------
-    def _drive(self, team: WorkerTeam) -> Dict[str, Any]:
-        n = self.n_shards
-        until, lookahead = self.until, self.lookahead
-        next_ts: List[Optional[float]] = [None] * n
-        for i in range(n):
-            _tag, shard_id, next_t = team.recv(i)
-            next_ts[shard_id] = next_t
-
-        pending: List[List[Any]] = [[] for _ in range(n)]
-        epochs = 0
-        stalls = 0
-        barrier_wait = 0.0
-        last_n_min: Optional[float] = None
-        last_events: Optional[int] = None
-        # hard backstop well above any live schedule's epoch count: the
-        # horizon advances by >= lookahead whenever N advances, so a
-        # healthy run needs about until/lookahead epochs
-        max_epochs = int(until / lookahead) * 4 + 1024
-
-        while True:
-            candidates = [t for t in next_ts if t is not None]
-            candidates += [msg[0] for box in pending for msg in box]
-            n_min = min(candidates) if candidates else None
-            if n_min is None:
-                break  # every shard idle, nothing in flight: done early
-            horizon = n_min + lookahead
-            if horizon > until:
-                break  # the final stretch covers the rest inclusively
-
-            if epochs >= max_epochs:
-                raise ShardSyncError(
-                    f"barrier exceeded {max_epochs} epochs before t={until} "
-                    f"(horizon {horizon:.9f})"
+    def _await_done(self, team: WorkerTeam) -> List[Dict[str, Any]]:
+        n, limit = self.n_shards, self.recv_timeout
+        results: List[Any] = [None] * n
+        heard = [perf_counter()] * n
+        waiting = set(range(n))
+        while waiting:
+            quiet = min(waiting, key=lambda i: heard[i])
+            left = heard[quiet] + limit - perf_counter()
+            if left <= 0:
+                raise WorkerCrashError(
+                    team.task_id(quiet),
+                    f"no sign of life within {limit:.1f}s (wedged worker)",
                 )
-            for i in range(n):
-                team.send(i, ("epoch", horizon, pending[i]))
-                pending[i] = []
-            w0 = perf_counter()
-            replies = team.gather()
-            barrier_wait += perf_counter() - w0
-            total_events = 0
-            for i, (_tag, next_t, outbox, events) in enumerate(replies):
-                next_ts[i] = next_t
-                total_events += events
-                for dst_shard, message in outbox:
-                    pending[dst_shard].append(message)
-            epochs += 1
-            if last_n_min is not None and n_min <= last_n_min:
-                stalls += 1
-                if total_events == last_events:
-                    raise ShardSyncError(
-                        f"wedged barrier: horizon stuck at {horizon:.9f} "
-                        f"with no events dispatched (epoch {epochs})"
-                    )
-            last_n_min = n_min
-            last_events = total_events
+            got = team.recv_any(waiting, timeout=left)
+            if got is None:
+                continue
+            i, (kind, body) = got
+            heard[i] = perf_counter()
+            if kind == "done":
+                results[i] = body
+                waiting.discard(i)
+            elif kind == "wedged":
+                raise ShardSyncError(f"{team.task_id(i)}: {body}")
+            elif kind == "lost":
+                raise team.lost(body, seen_by=i)
+        return results
 
-        # final stretch: inclusive run to the experiment end, with any
-        # still-pending messages injected; frames generated here arrive
-        # after `until` (lookahead bound) and are dropped with the team —
-        # their pooled payload references were already consumed at egress
-        for i in range(n):
-            team.send(i, ("finish", until, pending[i]))
-            pending[i] = []
-        w0 = perf_counter()
-        team.gather()
-        barrier_wait += perf_counter() - w0
-
-        results: List[Dict[str, Any]] = [{} for _ in range(n)]
-        for i in range(n):
-            team.send(i, ("collect",))
-        for i in range(n):
-            _tag, result = team.recv(i)
-            results[result["shard_id"]] = result
-
+    def _summarise(self, results: List[Dict[str, Any]]) -> Dict[str, Any]:
+        counts = {(r["shard_epochs"], r["shard_horizon_stalls"]) for r in results}
+        if len(counts) != 1:
+            raise ShardSyncError(
+                "shards disagree on (epochs, horizon stalls): "
+                + ", ".join(f"shard {r['shard_id']}: "
+                            f"({r['shard_epochs']}, {r['shard_horizon_stalls']})"
+                            for r in results)
+            )
+        (epochs, stalls), = counts
         self.stats = {
-            "n_shards": n,
+            "n_shards": self.n_shards,
             "epochs": epochs,
             "horizon_stalls": stalls,
-            "barrier_wait_s": round(barrier_wait, 6),
-            "lookahead": lookahead,
+            # the longest any one shard spent blocked on its peers
+            "barrier_wait_s": max(r["shard_barrier_wait_s"] for r in results),
+            "lookahead": self.lookahead,
             "cross_frames": sum(r.get("shard_frames_out", 0) for r in results),
             "cross_bytes": sum(r.get("shard_bytes_out", 0) for r in results),
         }
@@ -190,6 +169,6 @@ class ShardCoordinator:
                 "frames_out": r.get("shard_frames_out", 0),
                 "frames_in": r.get("shard_frames_in", 0),
                 "bytes_out": r.get("shard_bytes_out", 0),
-                "barrier_wait_s": r.get("shard_barrier_wait_s", 0.0),
+                "barrier_wait_s": r["shard_barrier_wait_s"],
             })
         return {"shards": results, "coordinator": dict(self.stats)}

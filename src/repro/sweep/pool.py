@@ -10,11 +10,11 @@ Two execution shapes, one module:
   :class:`WorkerCrashError` naming the failing cell instead of a bare
   pickled traceback deep inside pool internals.
 * :class:`WorkerTeam` — the long-lived conversational workers the shard
-  coordinator (:mod:`repro.shard.coordinator`) holds a lockstep barrier
-  over: one process + one duplex pipe per worker, *every* receive polls
-  with a bounded timeout and checks the child is alive, so a worker that
-  raises, is killed, or wedges surfaces a :class:`WorkerCrashError`
-  naming the shard — the barrier can never hang forever.
+  coordinator (:mod:`repro.shard.coordinator`) watches over: one process
+  + one duplex pipe per worker, and *every* receive waits on the pipes
+  and the process sentinels together with a bounded timeout, so a worker
+  that raises, is killed, or wedges surfaces a :class:`WorkerCrashError`
+  naming it — a receive can never hang forever.
 
 Both shapes share the determinism conventions established by the sweep
 engine: targets must be importable module-level callables (pickled by
@@ -145,10 +145,11 @@ class WorkerTeam:
     """``n`` long-lived processes, one duplex pipe each.
 
     Unlike a ``Pool`` barrier — which deadlocks forever if a worker is
-    SIGKILLed mid-task — every :meth:`recv` here alternates short pipe
-    polls with liveness checks on the child process, and gives up after
-    ``timeout`` seconds, so the coordinator always gets a
-    :class:`WorkerCrashError` naming the dead or wedged worker.
+    SIGKILLed mid-task — every receive here (:meth:`recv`,
+    :meth:`recv_any`) waits on the pipes and the child processes'
+    sentinels together, and gives up after its timeout, so the caller
+    always gets a :class:`WorkerCrashError` naming the dead or wedged
+    worker, the moment it dies.
 
     ``target`` must be an importable module-level callable (pickled by
     reference) invoked in the child as ``target(conn, worker_id, *args)``
@@ -162,17 +163,16 @@ class WorkerTeam:
         args_for: Optional[Callable[[int], tuple]] = None,
         name: str = "worker",
         timeout: float = 120.0,
-        heartbeat: float = 0.25,
         ctx: Optional[multiprocessing.context.BaseContext] = None,
     ) -> None:
         if n < 1:
             raise ValueError("team needs at least one worker")
         self.name = name
         self.timeout = float(timeout)
-        self.heartbeat = float(heartbeat)
         ctx = ctx if ctx is not None else multiprocessing.get_context()
         self._procs = []
         self._pipes = []
+        self._closed = False
         for i in range(n):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             args = tuple(args_for(i)) if args_for is not None else ()
@@ -190,7 +190,8 @@ class WorkerTeam:
     def __len__(self) -> int:
         return len(self._procs)
 
-    def _tid(self, i: int) -> str:
+    def task_id(self, i: int) -> str:
+        """The label a :class:`WorkerCrashError` names worker ``i`` by."""
         return f"{self.name} {i}"
 
     # ------------------------------------------------------------------
@@ -198,7 +199,7 @@ class WorkerTeam:
         try:
             self._pipes[i].send(msg)
         except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashError(self._tid(i), f"pipe closed on send ({exc})")
+            raise WorkerCrashError(self.task_id(i), f"pipe closed on send ({exc})")
 
     def recv(self, i: int, timeout: Optional[float] = None) -> Any:
         """Receive one message from worker ``i``, crash-safely.
@@ -209,31 +210,69 @@ class WorkerTeam:
         guard.
         """
         limit = self.timeout if timeout is None else float(timeout)
-        pipe, proc = self._pipes[i], self._procs[i]
-        waited = 0.0
-        while True:
-            step = min(self.heartbeat, limit - waited)
-            if step <= 0:
-                raise WorkerCrashError(
-                    self._tid(i),
-                    f"no reply within {limit:.1f}s (wedged worker or barrier)",
-                )
-            if pipe.poll(step):
-                try:
-                    msg = pipe.recv()
-                except (EOFError, OSError):
-                    raise WorkerCrashError(
-                        self._tid(i), "pipe closed mid-message (worker died)"
-                    )
-                if isinstance(msg, tuple) and msg and msg[0] == "__crash__":
-                    raise WorkerCrashError(self._tid(i), str(msg[-1]))
-                return msg
-            waited += step
-            if not proc.is_alive() and not pipe.poll(0):
-                raise WorkerCrashError(
-                    self._tid(i),
-                    f"worker process died (exit code {proc.exitcode})",
-                )
+        got = self.recv_any([i], limit)
+        if got is None:
+            raise WorkerCrashError(
+                self.task_id(i),
+                f"no reply within {limit:.1f}s (wedged worker or barrier)",
+            )
+        return got[1]
+
+    def recv_any(self, ids: Iterable[int], timeout: float
+                 ) -> Optional[Tuple[int, Any]]:
+        """The next message from whichever of workers ``ids`` speaks first.
+
+        Waits on their pipes and process sentinels together, so a death
+        is seen the moment it happens.  Returns ``(i, message)``, or
+        ``None`` if ``timeout`` seconds pass in silence.  Raises
+        :class:`WorkerCrashError` when a worker reported a traceback or
+        died; a message it sent before dying is still delivered first.
+        """
+        # loaded already by the Pipe() that built the team; importing it at
+        # module level would put it on the cold start of every importer
+        from multiprocessing.connection import wait
+
+        watch = {}
+        for i in ids:
+            watch[self._pipes[i]] = i
+            watch[self._procs[i].sentinel] = i
+        ready = wait(list(watch), max(0.0, timeout))
+        if not ready:
+            return None
+        # a pipe first: a last message or a crash report outranks the
+        # death that follows it
+        ready.sort(key=lambda obj: isinstance(obj, int))
+        i = watch[ready[0]]
+        pipe = self._pipes[i]
+        if not pipe.poll(0):
+            raise self._died(i)
+        try:
+            msg = pipe.recv()
+        except (EOFError, OSError):
+            raise self._died(i)
+        if isinstance(msg, tuple) and msg and msg[0] == "__crash__":
+            raise WorkerCrashError(self.task_id(i), str(msg[-1]))
+        return i, msg
+
+    def _died(self, i: int) -> WorkerCrashError:
+        proc = self._procs[i]
+        proc.join(1.0)
+        return WorkerCrashError(
+            self.task_id(i), f"worker process died (exit code {proc.exitcode})")
+
+    def lost(self, i: int, seen_by: int) -> WorkerCrashError:
+        """The error for worker ``i``, whose pipe worker ``seen_by`` saw close.
+
+        Worker ``i``'s own report (a traceback, or its death) is what
+        names the failure; this waits briefly for it.
+        """
+        try:
+            self.recv_any([i], timeout=1.0)
+        except WorkerCrashError as exc:
+            return exc
+        return WorkerCrashError(
+            self.task_id(i),
+            f"closed its pipe to {self.task_id(seen_by)} while still running")
 
     def broadcast(self, msgs: Iterable[Any]) -> None:
         """Send one (distinct) message to each worker, in worker order."""
@@ -246,7 +285,16 @@ class WorkerTeam:
 
     # ------------------------------------------------------------------
     def close(self, farewell: Any = None, join_timeout: float = 5.0) -> None:
-        """Shut the team down; stragglers are terminated, never waited on."""
+        """Shut the team down; stragglers are terminated, never waited on.
+
+        Each worker gets ``join_timeout`` seconds to exit on its own; pass
+        0 after a failure to terminate the rest at once.  Every process is
+        reaped and every pipe and sentinel closed, so a closed team holds
+        no descriptor.
+        """
+        if self._closed:
+            return
+        self._closed = True
         if farewell is not None:
             for i in range(len(self)):
                 if self._procs[i].is_alive():
@@ -259,11 +307,12 @@ class WorkerTeam:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(1.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            proc.close()
         for pipe in self._pipes:
-            try:
-                pipe.close()
-            except Exception:
-                pass
+            pipe.close()
 
     def __enter__(self) -> "WorkerTeam":
         return self

@@ -25,6 +25,10 @@ from tests.conftest import SETTLE_S, leaks
 N = 48          # small but real: all four classes, crosses in every group
 GROUPS = 4
 SEED = 11
+#: epochs this world runs, pinned to what the coordinator's own barrier
+#: loop ran before the workers took it over: the horizon sequence is kept,
+#: not only the digest
+EPOCHS = {2: 71, 4: 71}
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +82,16 @@ class TestShardedIdentity:
         # the shards together name what the serial world names
         assert sorted(v for r in sharded["shards"] for v in r["quiescence"]) \
             == sorted(serial["quiescence"])
+        # why opens failed is detail, not identity, but it adds up the same
+        assert sharded["failed_by_reason"] == serial["failed_by_reason"]
         coord = sharded["coordinator"]
-        assert coord["epochs"] > 0
+        assert coord["epochs"] == EPOCHS[n_shards]
+        assert coord["horizon_stalls"] == 0
         assert coord["cross_frames"] > 0          # the boundary was exercised
+        # every shard ran the same epochs; the wait reported is the longest
+        assert {r["shard_epochs"] for r in sharded["shards"]} == {coord["epochs"]}
+        assert coord["barrier_wait_s"] == max(
+            r["shard_barrier_wait_s"] for r in sharded["shards"])
 
     def test_sharded_run_balances_every_shard_pool(self, serial):
         sharded = run_sharded_churn(
@@ -130,6 +141,24 @@ class TestDigestAssembly:
             merge_sharded_metrics([shard, dict(shard)], {})
 
 
+    def test_merge_adds_failure_reasons(self):
+        from repro.core.churn import merge_sharded_metrics
+
+        def shard(index, reasons):
+            return {
+                "n_connections": 2, "n_groups": 2, "established": 1,
+                "failed": sum(reasons.values()), "failed_by_reason": reasons,
+                "closed": 1, "reopened": 0, "delivered": 1,
+                "peak_concurrent": 1, "conn_digests": {index: "x"},
+                "final_time": 1.0, "events_dispatched": 10,
+            }
+
+        merged = merge_sharded_metrics(
+            [shard(0, {"rejected": 2, "timed out": 1}),
+             shard(1, {"timed out": 3})], {})
+        assert merged["failed_by_reason"] == {"rejected": 2, "timed out": 4}
+
+
 class TestCoordinatorValidation:
     def test_rejects_degenerate_parameters(self):
         for kw in (
@@ -142,3 +171,12 @@ class TestCoordinatorValidation:
 
     def test_sync_error_is_a_runtime_error(self):
         assert issubclass(ShardSyncError, RuntimeError)
+
+    def test_shards_that_ran_different_epochs_raise_sync_error(self):
+        coordinator = ShardCoordinator(builder=None, builder_kw={}, n_shards=2,
+                                       until=1.0, lookahead=1e-3)
+        results = [{"shard_id": i, "shard_epochs": 70 + i,
+                    "shard_horizon_stalls": 0, "shard_barrier_wait_s": 0.0}
+                   for i in range(2)]
+        with pytest.raises(ShardSyncError, match="disagree"):
+            coordinator._summarise(results)
