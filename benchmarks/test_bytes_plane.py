@@ -29,37 +29,17 @@ import time
 
 import pytest
 
-from repro.host.nic import Host
-from repro.mantts.acd import ACD
-from repro.mantts.monitor import NetworkState
-from repro.mantts.transform import specify_scs
-from repro.mantts.tsc import APP_PROFILES
-from repro.netsim.profiles import ethernet_10, linear_path
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
-from repro.tko.protocol import TKOProtocol
 from repro.unites.obs.telemetry import TELEMETRY
 from repro.unites.present import render_table
 
+from benchmarks.conference import (
+    MESSAGE, MESSAGES, SEND_INTERVAL, START, ConferenceWorld,
+    teleconference_config)
 from benchmarks.conftest import record
 
 PAIRS = 10
-MESSAGES = 400
-SEND_INTERVAL = 0.02            #: 50 messages/s conference tick
 MIN_P50_SPEEDUP = 1.50          #: rendered p50 must beat general by 1.5x
 MAX_P99_RATIO = 1.10            #: rendered p99 no worse than general +10%
-
-
-def _teleconference_config():
-    """Derive the teleconference SCS through the real Stage I/II path."""
-    profile = APP_PROFILES["tele-conferencing"]
-    acd = ACD(
-        participants=("B",),
-        quantitative=profile.quantitative(),
-        qualitative=profile.qualitative(),
-    )
-    lan = NetworkState("A", "B", True, 0.004, 0.004, 10e6, 1500, 1e-6, 0.0, 0.0, 3)
-    return specify_scs(acd, lan).config
 
 
 def _percentile(sorted_samples, q):
@@ -67,55 +47,28 @@ def _percentile(sorted_samples, q):
     return sorted_samples[idx]
 
 
-class _World:
-    """One conference world, connected and ready to send.  ``general``
-    sends through the executor's general route instead of ``send``."""
+class _World(ConferenceWorld):
+    """``general`` sends through the executor's general route instead of
+    ``send``."""
 
     def __init__(self, cfg, general):
-        self.general = general
-        self.sim = sim = Simulator()
-        rng = RngStreams(5)
-        net = linear_path(sim, ethernet_10(), ("A", "B"), n_switches=2, rng=rng)
-        self.ha = Host(sim, net, "A", mips=25.0)
-        self.hb = Host(sim, net, "B", mips=25.0)
-        pa = TKOProtocol(self.ha)
-        pb = TKOProtocol(self.hb)
-        self.delivered = delivered = []
-
-        def on_session(s):
-            s.on_deliver = lambda data, meta: delivered.append(len(data))
-
-        pb.listen(7000, lambda pdu, frame: cfg, on_session)
-        self.sender = pa.create_session(cfg, "B", 7000)
-        self.sender.connect()
-        sim.run(until=0.05)
-        self.send = self.sender.executor.general_send if general else self.sender.send
+        super().__init__(cfg)
+        self.send = (self.sender.executor.general_send if general
+                     else self.sender.send)
         self.samples = []
-
-    def identity(self):
-        return (
-            len(self.delivered),
-            sum(self.delivered),
-            self.sim.now,
-            self.sender.stats.pdus_sent,
-            self.sender.stats.retransmissions,
-            self.ha.cpu.instructions_retired,
-            self.hb.cpu.instructions_retired,
-        )
 
 
 def _pair(cfg):
     """The two routes' worlds, sending in turn; (general, rendered)."""
     general, rendered = _World(cfg, True), _World(cfg, False)
-    msg = b"\xa5" * 512
     perf = time.perf_counter
-    t = 0.05
+    t = START
     for i in range(MESSAGES):
         t += SEND_INTERVAL
         for w in (general, rendered) if i % 2 else (rendered, general):
             w.sim.run(until=t)
             t0 = perf()
-            w.send(msg)
+            w.send(MESSAGE)
             w.samples.append(perf() - t0)
     for w in (general, rendered):
         w.sim.run(until=t + 2.0)
@@ -127,7 +80,7 @@ def _pair(cfg):
 def test_generated_send_latency(benchmark):
     TELEMETRY.disable()
     TELEMETRY.reset()
-    cfg = _teleconference_config()
+    cfg = teleconference_config()
 
     pairs = benchmark.pedantic(lambda: [_pair(cfg) for _ in range(PAIRS)],
                                rounds=1, iterations=1)

@@ -24,89 +24,42 @@ import time
 
 import pytest
 
-from repro.host.nic import Host
-from repro.mantts.acd import ACD
-from repro.mantts.monitor import NetworkState
-from repro.mantts.transform import specify_scs
-from repro.mantts.tsc import APP_PROFILES
-from repro.netsim.profiles import ethernet_10, linear_path
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
-from repro.tko.protocol import TKOProtocol
 from repro.unites.obs.telemetry import TELEMETRY
 from repro.unites.present import render_table
 
+from benchmarks.conference import (
+    MESSAGE, MESSAGES, SEND_INTERVAL, START, ConferenceWorld,
+    teleconference_config)
 from benchmarks.conftest import record
 
 ROUNDS = 5
-MESSAGES = 400
-SEND_INTERVAL = 0.02          #: 50 messages/s conference tick
 MAX_COMPILED_RATIO = 0.75     #: >= 25% less wall time per send
-
-
-def _teleconference_config():
-    """Derive the teleconference SCS through the real Stage I/II path."""
-    profile = APP_PROFILES["tele-conferencing"]
-    acd = ACD(
-        participants=("B",),
-        quantitative=profile.quantitative(),
-        qualitative=profile.qualitative(),
-    )
-    lan = NetworkState("A", "B", True, 0.004, 0.004, 10e6, 1500, 1e-6, 0.0, 0.0, 3)
-    return specify_scs(acd, lan).config
 
 
 def _run(cfg, general):
     """One conference run; (wall seconds per send, simulated identity).
     ``general`` times the executor's general route instead of ``send``."""
-    sim = Simulator()
-    rng = RngStreams(5)
-    net = linear_path(sim, ethernet_10(), ("A", "B"), n_switches=2, rng=rng)
-    ha = Host(sim, net, "A", mips=25.0)
-    hb = Host(sim, net, "B", mips=25.0)
-    pa = TKOProtocol(ha)
-    pb = TKOProtocol(hb)
-    delivered = []
-
-    def on_session(s):
-        s.on_deliver = lambda data, meta: delivered.append(len(data))
-
-    pb.listen(7000, lambda pdu, frame: cfg, on_session)
-    sender = pa.create_session(cfg, "B", 7000)
-    sender.connect()
-    sim.run(until=0.05)
-
-    send = sender.executor.general_send if general else sender.executor.send
-    msg = b"\xa5" * 512
+    w = ConferenceWorld(cfg)
+    send = w.sender.executor.general_send if general else w.sender.executor.send
     perf = time.perf_counter
     wall = 0.0
-    t = 0.05
+    t = START
     for _ in range(MESSAGES):
         t += SEND_INTERVAL
-        sim.run(until=t)
+        w.sim.run(until=t)
         t0 = perf()
-        send(msg)
+        send(MESSAGE)
         wall += perf() - t0
-    sim.run(until=t + 2.0)
-    assert sender.executor.fast_sends == 0
-
-    identity = (
-        len(delivered),
-        sum(delivered),
-        sim.now,
-        sender.stats.pdus_sent,
-        sender.stats.retransmissions,
-        ha.cpu.instructions_retired,
-        hb.cpu.instructions_retired,
-    )
-    return wall / MESSAGES, identity
+    w.sim.run(until=t + 2.0)
+    assert w.sender.executor.fast_sends == 0
+    return wall / MESSAGES, w.identity()
 
 
 @pytest.mark.timing
 def test_compiled_pipeline_send_is_faster(benchmark, executors):
     TELEMETRY.disable()
     TELEMETRY.reset()
-    cfg = _teleconference_config()
+    cfg = teleconference_config()
 
     def measure():
         reference, compiled = [], []

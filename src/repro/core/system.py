@@ -189,7 +189,7 @@ class AdaptiveSystem:
                     sessions_open |= MANTTS_PORT not in (s.local_port, s.remote_port)
                     if s._closing:
                         out.append(f"not quiescent: session {label} is closing")
-                elif (s.executor.pipeline is not None or s._send_queue
+                elif (s.executor.s is not None or s._send_queue
                       or s.timers is not None or s.state is not None
                       or s.context.session is not None):
                     out.append(f"closed session {label} is not a tombstone")
@@ -203,7 +203,7 @@ class AdaptiveSystem:
             if isinstance(owner, Timer):  # an expiry: look at what it calls
                 fn = owner.fn
                 owner = getattr(fn, "__self__", None)
-            if (isinstance(owner, CompiledExecutor) and owner.s.closed) or (
+            if (isinstance(owner, CompiledExecutor) and owner.s is None) or (
                     isinstance(owner, Mechanism) and owner.session is None):
                 out.append("pending event owned by a closed session: "
                            f"{fn.__qualname__}")

@@ -19,6 +19,10 @@ any state.  Both routes perform the same operations in the same order, so
 simulated time is identical; only wall time differs — which is the
 paper's Synthesis/SELF point.
 
+An ended session is off the data path: ``retire`` points ``s`` at
+``None``, read only by a late callback the kernel holds and by a frame
+whose own call ended the session (``tests/test_static.py`` names each).
+
 The behavioural oracle — a per-slot walk of the mechanism table that
 re-derives every PDU's charge from ``compile_stage()`` at run time —
 lives in ``tests/oracles/``; the test tree substitutes it for the one
@@ -91,13 +95,12 @@ class CompiledExecutor:
             except AttributeError:
                 pass  # that direction was never used
 
-    def retire(self, closed: "TKOSession") -> None:
-        """Torn down: keep ``fast_sends`` only, and point at ``closed`` (a
-        closed session that is nobody's) so the session ↔ executor cycle is
-        gone and every late entry still meets its closed-session exit."""
+    def retire(self) -> None:
+        """Torn down: keep ``fast_sends`` only; ``s`` goes to ``None``, so
+        the session ↔ executor cycle is gone."""
         self._unrender()
         self.pipeline = None
-        self.s = closed
+        self.s = None
 
     def refresh_slot(self, slot: str, reason: str = "segue") -> None:
         """One mechanism was swapped; recompile that stage only."""
@@ -114,8 +117,6 @@ class CompiledExecutor:
 
     # -- send path -------------------------------------------------------
     def send(self, data: bytes) -> int:
-        if self.s._closed:
-            return self.general_send(data)  # raises; a tombstone renders nothing
         self.send = fn = codegen(self)[1](self)
         codegen_stats["installed"] += 1
         return fn(data)
@@ -128,8 +129,8 @@ class CompiledExecutor:
         transmission control allows.
         """
         s = self.s
-        if s._closed or s._closing:
-            raise RuntimeError("session is closed")
+        if s._closing:
+            raise RuntimeError("session is closing")
         msg_id = next(_msg_counter)
         if _TELEMETRY.enabled:
             with _TELEMETRY.span("session-send", "tko", msg_id=msg_id,
@@ -187,7 +188,7 @@ class CompiledExecutor:
 
     def pump(self) -> None:
         s = self.s
-        if s._closed or s._paused or not s.context.connection.connected:
+        if s._paused or not s.context.connection.connected:
             return
         queue = s._send_queue
         if queue:
@@ -236,8 +237,6 @@ class CompiledExecutor:
 
     def transmit(self, pdu: PDU, control: bool) -> None:
         s = self.s
-        if s._closed:
-            return
         ctx = s.context
         if _TELEMETRY.enabled:
             ctx.detection.count_invoke("attach")
@@ -286,8 +285,6 @@ class CompiledExecutor:
 
     def retransmit_entry(self, entry: SendEntry) -> None:
         s = self.s
-        if s._closed:
-            return
         entry.retries += 1
         entry.last_sent = s.sim.now
         s.stats.retransmissions += 1
@@ -297,18 +294,15 @@ class CompiledExecutor:
 
     # -- receive path ----------------------------------------------------
     def handle_frame(self, pdu: PDU, frame: Frame) -> None:
-        if self.s._closed:
-            # refused by its listener's ``on_session``: retire the frame
-            return self._process(pdu, frame)
         self.handle_frame = fn = codegen(self)[2](self)
         codegen_stats["installed"] += 1
         fn(pdu, frame)
 
     def _process(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
-        if s._closed:
-            # closed while this frame waited for the CPU: retire it the way
-            # ``TKOProtocol._unclaimed`` does (a multicast PDU is shared)
+        if s is None:
+            # late callback: closed while this frame waited for the CPU;
+            # retire it as ``TKOProtocol._unclaimed`` does
             if frame.multicast_dsts is None:
                 pdu.discard()
             return
@@ -346,8 +340,8 @@ class CompiledExecutor:
 
     def _handle_data(self, pdu: PDU) -> None:
         s = self.s
-        if s._closed:
-            # closed by ``on_deliver`` with a repaired group half handed over
+        if s is None:
+            # re-entry: ``on_deliver`` closed it mid repaired group
             pdu.discard()
             return
         buf = s.host.buffers.alloc(max(1, pdu.wire_size))
@@ -388,7 +382,7 @@ class CompiledExecutor:
         # a data arrival can complete an FEC group whose parity came first
         # (FEC senders never pool, so ``pdu`` is always intact here)
         repair = rec.repair_opportunity
-        if repair is not None and not s._closed:
+        if repair is not None and self.s is not None:
             for rebuilt in repair(pdu):
                 self._handle_data(rebuilt)
         if not accepted:
@@ -402,9 +396,9 @@ class CompiledExecutor:
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
-        if s._closed:
-            # closed by ``on_deliver`` part-way through a release of
-            # several PDUs: the rest end as ``_teardown`` ends parked ones
+        if s is None:
+            # re-entry: ``on_deliver`` closed it mid release; the rest
+            # end as ``_teardown`` ends parked ones
             pdu.discard()
             return
         frags = s.reassembler.add(pdu)
@@ -434,9 +428,9 @@ class CompiledExecutor:
 
     def _deliver_app(self, message: TKOMessage, first: PDU) -> None:
         s = self.s
-        if s._closed:
-            # a playout-delayed delivery outlived its session: nothing
-            # will materialize the message or read ``first`` any more
+        if s is None:
+            # late callback: a playout-delayed delivery outlived its
+            # session; nothing will read ``message`` or ``first`` again
             message.release_payload()
             if first.pooled:
                 first.release()
@@ -479,10 +473,8 @@ class CompiledExecutor:
             for seq in [q for q in outstanding if q < ack]:
                 if delivery.ack_complete(seq, from_host):
                     self.finalize_ack(seq)
-                    if s._closed:
-                        # this ack completed a pending close (torn down
-                        # synchronously): the pdu has nothing left to drive
-                        return
+                    if self.s is None:
+                        return  # re-entry: this ack completed a close
         if pdu.sack:
             destinations = set(ctx.delivery.destinations())
             for seq in pdu.sack:
@@ -491,6 +483,8 @@ class CompiledExecutor:
                     entry.sacked_by.add(from_host)
                     entry.sacked = entry.sacked_by >= destinations
         rec.on_ack(pdu, from_host)
+        if self.s is None:
+            return  # re-entry: recovery gave up inside ``on_ack``
         self.pump()
 
     def finalize_ack(self, seq: int) -> None:
@@ -528,5 +522,5 @@ class CompiledExecutor:
             s.stats.gap_skips += 1
         for pdu in released:
             self._deliver_pdu(pdu)
-        if not s._closed and s.recv_window.buffer:
+        if self.s is not None and s.recv_window.buffer:
             s._gap_timer.schedule(s.cfg.gap_timeout)

@@ -13,8 +13,8 @@ change (segue, update_config, repipeline) simply regenerates the closure.
 Determinism contract: the rendered send executes the *same operations in
 the same order* as the executor's ``general_send`` route, and every
 situation it does not specialize for — telemetry on, observers attached,
-a protocol graph below the session, multi-fragment messages, pause/close
-states, a non-empty send queue — falls back to that route wholesale
+a protocol graph below the session, multi-fragment messages, paused or
+closing states, a non-empty send queue — falls back to that route wholesale
 *before* consuming any state (no message id drawn, no piggyback config
 popped).  The churn delivery digest is the identity check; see
 ``tests/tko/test_genexec_identity.py``.
@@ -227,7 +227,7 @@ def make_send(exe):
         # anything the fast path does not specialize for takes the
         # general route, before any state is consumed
         if (telemetry.enabled or s.observers or layers
-                or s._paused or s._closing or s._closed
+                or s._paused or s._closing
                 or not conn.connected or s._send_queue):
             # graph *layers* force the fallback; a bare protocol mux with
             # an empty graph egresses exactly like host.transmit, which
@@ -313,7 +313,7 @@ def make_recv(exe):
     process = exe._process; cpu = exe.s.host.cpu
 
     def generated_handle_frame(pdu, frame, process=process, cpu=cpu):
-        # no closed-session test: ``retire`` deletes this closure
+        # no ended-session test: ``retire`` deletes this closure
         t = pdu.ptype
         if t is DATA or t is PARITY:
             n = pdu.data_size

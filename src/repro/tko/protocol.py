@@ -193,8 +193,11 @@ class TKOProtocol:
         listener.on_session(session)
         if pdu.ptype in (PduType.DATA, PduType.PROBE):
             # the opening PDU carries data (or wants an echo): process it
-            # as a normal arrival
-            session.handle_frame(pdu, frame)
+            # as a normal arrival, or as a demux miss if refused
+            if session.closed:
+                self._unclaimed(pdu, frame)
+            else:
+                session.handle_frame(pdu, frame)
 
     # ------------------------------------------------------------------
     def session_closed(self, session: TKOSession) -> None:

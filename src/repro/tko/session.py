@@ -12,7 +12,7 @@ The per-PDU data path itself lives in :mod:`repro.tko.executor`: a session
 holds the association state (send queue, windows, RTT, stats, lifecycle)
 and delegates send/receive processing to its executor, which runs the
 compiled flat pipeline (:mod:`repro.tko.pipeline`).  This module keeps
-everything that is *state machine*, not *hot path*.
+everything that is *state machine* (its end included), not *hot path*.
 
 Send path:   app message → fragmentation → sequence assignment →
              transmission control gate → recovery bookkeeping (+FEC parity)
@@ -65,9 +65,11 @@ class TKOSession:
     unheld closed session is freed by reference count and a *held* one
     answers only what is read after close: ``stats``, ``rtt``, ``cfg``,
     ``conn_id`` and the addresses, ``closed``, ``executor.fast_sends``,
-    ``context.describe()``.  ``send`` on it still raises, a frame that
-    reaches it is still retired.  The instance ``__dict__`` exists for one
-    seam, shadowing ``_handle_ack``; nothing in ``src/`` writes to it.
+    ``context.describe()``.  Its end is answered where a caller comes in,
+    not on the data path: a late frame finds no demux binding, ``send``
+    raises with the end reason, ``abort`` / ``close`` / ``pump`` /
+    ``resume`` do nothing and ``drain`` calls back at once.  The instance
+    ``__dict__`` exists for one seam, shadowing ``_handle_ack``.
     """
 
     __slots__ = (
@@ -196,11 +198,15 @@ class TKOSession:
         the transmission-control pump releases fragments as window/pacing
         allow.
         """
+        if self._closed:
+            raise RuntimeError(
+                f"session ended: {self.stats.aborted or GRACEFUL_CLOSE}")
         return self.executor.send(data)
 
     def pump(self) -> None:
         """Release queued DATA PDUs as transmission control allows."""
-        self.executor.pump()
+        if not self._closed:
+            self.executor.pump()
 
     def handle_frame(self, pdu: PDU, frame: Frame) -> None:
         """Entry from the protocol demultiplexer (charges CPU, then runs)."""
@@ -238,8 +244,7 @@ class TKOSession:
             return
         self._paused = False
         self._notify("resume")
-        if not self._closed:
-            self.pump()
+        self.pump()
 
     def drain(self, callback: Callable[[], None]) -> None:
         """Invoke ``callback`` once no PDU is outstanding (unACKed).
@@ -262,7 +267,7 @@ class TKOSession:
     def close(self) -> None:
         """Graceful close: drain queued and unacknowledged data, flush any
         partial FEC group, then run the connection termination exchange."""
-        if self._closed or self._closing:
+        if self._closing:
             return
         self._closing = True
         self._maybe_finish_close()
@@ -458,15 +463,9 @@ class TKOSession:
         if self.protocol is not None:
             self.protocol.session_closed(self)
         # the tombstone (class docstring: what a held handle still answers)
-        self.executor.retire(_CLOSED)
+        self.executor.retire()
         self.state = self.recv_window = self.reassembler = None
         self.timers = self._gap_timer = self._pdu_buffers = None
         self.on_deliver = self.on_connected = self.on_ended = None
         self.on_signalling = None
         self.observers.clear()  # stays a list: a tracer may still detach
-
-
-#: what a retired executor points at instead of its session: every late
-#: entry reads ``_closed`` first and takes the exit it always took
-_CLOSED = TKOSession.__new__(TKOSession)
-_CLOSED._closed = _CLOSED._closing = _CLOSED._paused = True

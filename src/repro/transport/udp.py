@@ -268,7 +268,9 @@ class UdpBackend(TransportBackend):
                     ep._transport.close()
             if self._fabric is not None and self._fabric._transport is not None:
                 self._fabric._transport.close()
-            self._loop.stop()
+            # a transport closes its socket in a callback ``close`` queues:
+            # stop behind it, or the loop halts with every socket open
+            self._loop.call_soon(self._loop.stop)
 
         if self._thread.is_alive():
             try:

@@ -89,8 +89,8 @@ class ReferenceExecutor(CompiledExecutor):
     # -- send path -------------------------------------------------------
     def send(self, data: bytes) -> int:
         s = self.s
-        if s._closed or s._closing:
-            raise RuntimeError("session is closed")
+        if s._closing:
+            raise RuntimeError("session is closing")
         msg_id = next(_msg_counter)
         with _TELEMETRY.span("session-send", "tko", msg_id=msg_id,
                              nbytes=len(data), conn=s.conn_id):
@@ -118,7 +118,7 @@ class ReferenceExecutor(CompiledExecutor):
 
     def pump(self) -> None:
         s = self.s
-        if s._closed or s._paused or not s.context.connection.connected:
+        if s._paused or not s.context.connection.connected:
             return
         tx = s.context.transmission
         while s._send_queue and tx.can_send():
@@ -158,8 +158,6 @@ class ReferenceExecutor(CompiledExecutor):
 
     def transmit(self, pdu: PDU, control: bool) -> None:
         s = self.s
-        if s._closed:
-            return
         if _TELEMETRY.enabled:
             s.context.detection.count_invoke("attach")
         s.context.detection.attach(pdu)
@@ -199,8 +197,6 @@ class ReferenceExecutor(CompiledExecutor):
     # -- receive path ----------------------------------------------------
     def handle_frame(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
-        if s._closed:
-            return self._process(pdu, frame)  # retires the frame
         deferred = 0.0
         if pdu.ptype in (PduType.DATA, PduType.PARITY):
             cost, deferred = self.cost_model.recv_charge(pdu)
@@ -212,7 +208,7 @@ class ReferenceExecutor(CompiledExecutor):
 
     def _process(self, pdu: PDU, frame: Frame) -> None:
         s = self.s
-        if s._closed:
+        if s is None:  # late: closed while this frame waited for the CPU
             if frame.multicast_dsts is None:
                 pdu.discard()
             return
@@ -245,7 +241,7 @@ class ReferenceExecutor(CompiledExecutor):
 
     def _handle_data(self, pdu: PDU) -> None:
         s = self.s
-        if s._closed:  # closed by a callback under a caller mid-loop
+        if s is None:  # closed by a callback under a caller mid-loop
             pdu.discard()
             return
         ctx = s.context
@@ -283,7 +279,7 @@ class ReferenceExecutor(CompiledExecutor):
             self._deliver_pdu(out)
         # a data arrival can complete an FEC group whose parity came first
         repair = getattr(ctx.recovery, "repair_opportunity", None)
-        if repair is not None and not s._closed:
+        if repair is not None and self.s is not None:
             for rebuilt in repair(pdu):
                 self._handle_data(rebuilt)
         if not accepted:
@@ -291,7 +287,7 @@ class ReferenceExecutor(CompiledExecutor):
 
     def _deliver_pdu(self, pdu: PDU) -> None:
         s = self.s
-        if s._closed:  # ``on_deliver`` closed it part-way through a release
+        if s is None:  # ``on_deliver`` closed it part-way through a release
             pdu.discard()
             return
         frags = s.reassembler.add(pdu)
@@ -327,7 +323,7 @@ class ReferenceExecutor(CompiledExecutor):
             for seq in [q for q in s.state.outstanding if q < pdu.ack]:
                 if ctx.delivery.ack_complete(seq, from_host):
                     self.finalize_ack(seq)
-        if s._closed:
+        if self.s is None:
             # this ack completed a pending close (finalize_ack ->
             # _maybe_finish_close tears the session down synchronously
             # under non-blocking connection management); the mechanisms
@@ -341,6 +337,8 @@ class ReferenceExecutor(CompiledExecutor):
                     entry.sacked_by.add(from_host)
                     entry.sacked = entry.sacked_by >= destinations
         ctx.recovery.on_ack(pdu, from_host)
+        if self.s is None:
+            return  # recovery gave up inside ``on_ack``
         self.pump()
 
     def _arm_gap_timer(self) -> None:

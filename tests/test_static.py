@@ -182,3 +182,75 @@ def test_every_end_names_a_reason_from_the_closed_set():
                  for path, node in calls
                  if not node.args or not leads_with_a_name(node.args[0])]
     assert not offenders, "\n".join(offenders)
+
+
+#: every place the data path may ask whether its session has ended, and why.
+#: A late caller from outside meets ``TKOSession``'s public methods or the
+#: protocol demux (``_teardown`` unbinds everything else); inside the
+#: executor a check stands only where a kernel-held callback arrives late,
+#: or where a call the executor made ended the session under its own frame
+#: (re-entry).  Function -> (checks, why).
+ENDED_SESSION_CHECKS = {
+    "tko/executor.py": {
+        "_process": (1, "late callback: a frame waited for the host CPU"),
+        "_deliver_app": (1, "late callback: a playout-delayed delivery"),
+        "_handle_data": (2, "re-entry: on_deliver, during a repaired group"),
+        "_deliver_pdu": (1, "re-entry: on_deliver, part-way through a release"),
+        "gap_timeout": (1, "re-entry: on_deliver, under the gap timer"),
+        "handle_ack": (2, "re-entry: finalize_ack closed; recovery gave up"),
+    },
+    "tko/session.py": {
+        "__init__": (1, "the flag starts down"),
+        "_teardown": (1, "the flag goes up, once"),
+        "connected": (1, "public: False once ended"),
+        "closed": (1, "public"),
+        "send": (1, "public: raises with the end reason"),
+        "pump": (1, "public: does nothing once ended"),
+        "drain": (1, "public: calls back at once once ended"),
+        "_end": (1, "public abort: one end, one on_ended"),
+        "_maybe_finish_close": (1, "no close exchange once ended: a held "
+                                   "handle's close(), a drain waiter's abort"),
+    },
+}
+#: the hard bound on the executor's checks
+EXECUTOR_CHECK_BOUND = 8
+
+
+def is_ended_session_check(node: ast.AST) -> bool:
+    """``x._closed`` anywhere, or ``s is (not) None`` / ``self.s is (not)
+    None`` (a retired executor's ``s`` is ``None``)."""
+    if isinstance(node, ast.Attribute) and node.attr == "_closed":
+        return True
+    if (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value is None):
+        left = node.left
+        return (isinstance(left, ast.Name) and left.id == "s") or (
+            isinstance(left, ast.Attribute) and left.attr == "s"
+            and isinstance(left.value, ast.Name) and left.value.id == "self")
+    return False
+
+
+def ended_session_checks(path: Path) -> dict:
+    """Function name -> how many ended-session checks its body holds."""
+    found = {}
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(fn, ast.FunctionDef):
+            n = sum(is_ended_session_check(node) for stmt in fn.body
+                    for node in ast.walk(stmt))
+            if n:
+                found[fn.name] = n
+    return found
+
+
+def test_an_ended_session_is_checked_only_where_a_caller_comes_in():
+    for module, named in ENDED_SESSION_CHECKS.items():
+        found = ended_session_checks(SRC / module)
+        assert found == {fn: n for fn, (n, _) in named.items()}, module
+    executor = ENDED_SESSION_CHECKS["tko/executor.py"]
+    assert sum(n for n, _ in executor.values()) <= EXECUTOR_CHECK_BOUND
+    # the rendered closures are source in strings, out of the AST's sight
+    assert "_closed" not in (SRC / "tko" / "genexec.py").read_text()
+    # no stand-in session for a retired executor to point at
+    assert "_CLOSED" not in names_used(SRC / "tko" / "session.py")

@@ -7,9 +7,16 @@ after it), fragments the reassembler parked until their message completes,
 and arrivals the reorder buffer holds for in-order release.  Each used to
 drop its pooled shell — and, on a real substrate, its slab lease — on the
 floor; together they were 5 of the shells ``media_fault`` "leaks".  The
-fifth is at the end of this file: the opening frame of a passive open
-whose ``on_session`` callback closes the session meets the executor's
-first-use ``handle_frame``, which retires it as ``_process``'s exit does.
+fifth is the opening frame of a passive open whose ``on_session``
+callback closes the session: ``TKOProtocol._accept`` retires it on the
+demux-miss path, as it does any frame for a session that is gone.
+
+The last part of the file covers what meets a session *after* its end:
+recovery that gives up inside ``on_ack`` and a drain waiter that aborts a
+closing session (the executor's re-entries on the send side), a late
+``send()`` that names the end reason, and the public calls on a held
+closed handle.  Each check ``tests/test_static.py`` names fails one of
+these tests when it is taken out.
 
 Every scenario runs with the wire codec in the middle (encode, decode into
 a slab arena, as ``RealFabric`` does), so the receiver handles unpooled
@@ -20,9 +27,11 @@ arena must hold no live lease.
 
 import pytest
 
+from repro.apps.workloads import AppSource
 from repro.host.cpu import Cpu
 from repro.netsim.frame import decode_frame, encode_frame
 from repro.tko.config import SessionConfig
+from repro.tko.ends import GRACEFUL_CLOSE, PEER_DEAD, RETRANSMISSION_LIMIT
 from repro.tko.pdu import PDU, PDU_POOL, PduType
 from repro.tko.slab import SlabArena
 from tests.conftest import EXECUTORS, TwoHosts
@@ -236,11 +245,43 @@ def test_closed_from_on_deliver_while_a_repaired_group_is_handed_over(
         w.quiesce_and_check(sender, pooled=False)
 
 
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_closed_from_on_deliver_before_a_data_arrival_completes_a_group(
+        executors, kind):
+    """Shards 1 and 2 are lost and shard 3 is held back behind both parity
+    PDUs, so its arrival completes the group.  Unsequenced, it is delivered
+    first — the callback closes the session there — and the rebuild it
+    would have started must not run on mechanisms already unbound."""
+    with executors(kind):
+        w = CodecWorld(lose=lambda pdu: pdu.ptype is PduType.DATA
+                       and pdu.seq in (1, 2))
+        forward = w.net.send
+
+        def hold_back_shard_3(frame):
+            pdu = frame.payload
+            if frame.src == "A" and pdu.ptype is PduType.DATA and pdu.seq == 3:
+                w.sim.schedule(0.05, forward, frame)
+            else:
+                forward(frame)
+
+        w.net.send = hold_back_shard_3
+        cfg = SessionConfig(**{**UNRELIABLE, "recovery": "fec-rs"}, fec_k=4,
+                            fec_r=2, sequencing="none")
+        close_from_the_second_delivery(w, cfg, CLOSES[0])
+        sender = w.open(cfg)
+        ids = [sender.send(b"q" * 300) for _ in range(4)]
+        w.sim.run(until=1.0)
+        rx = w.rx_sessions[0]
+        assert rx.closed and rx.stats.fec_recoveries == 0
+        assert [meta["msg_id"] for _, meta in w.delivered] == [ids[0], ids[3]]
+        w.quiesce_and_check(sender, pooled=False)
+
+
 def refused_passive_open():
-    """B's listener closes every session it is offered: ``_accept`` hands the
-    opening DATA PDU to a session ``on_session`` has already closed — the one
-    way the rendered ``handle_frame`` meets ``s._closed`` (a demuxed frame
-    finds no closed session: ``session_closed`` unbound it)."""
+    """B's listener closes every session it is offered: the opening DATA PDU
+    belongs to a session ``on_session`` has already closed, so ``_accept``
+    retires it as a demux miss (a demuxed frame finds no closed session
+    either: ``session_closed`` unbound it)."""
     w = CodecWorld()
     cfg = SessionConfig(**UNRELIABLE)
     refused = []
@@ -260,6 +301,9 @@ def test_opening_frame_of_a_refused_passive_open_is_not_processed():
 
 def test_opening_frame_of_a_refused_passive_open_is_retired():
     w, sender, _ = refused_passive_open()
+    # the opening frame counts as the demux miss it is, beside the FIN-ACK
+    # that answers the refused session's FIN
+    assert w.pb.frames_unclaimed == 2
     w.quiesce_and_check(sender)
 
 
@@ -274,3 +318,128 @@ def test_the_oracle_retires_a_frame_processed_after_close(executors,
         # the oracle never pools, so the books to check are the arena's
         assert w.arena.leases_issued == 1 and w.arena.live_leases == 0
         sender.abort("test over")
+
+
+def give_up_inside_on_ack():
+    """A GBN sender that may not retry at all, with every copy of seq 1
+    lost: the receiver's third duplicate ACK trips the fast retransmit,
+    whose give-up check aborts the sender inside ``rec.on_ack`` — under
+    ``handle_ack``, which must then stop rather than pump."""
+    w = CodecWorld(lose=lambda pdu: pdu.ptype is PduType.DATA and pdu.seq == 1)
+    cfg = SessionConfig(connection="implicit", max_retries=0, rto_initial=5.0)
+    w.listen(cfg)
+    sender = w.open(cfg)
+    for _ in range(6):
+        sender.send(b"k" * 300)
+    w.sim.run(until=1.0)
+    return w, sender
+
+
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_recovery_gives_up_inside_on_ack(executors, kind):
+    with executors(kind):
+        w, sender = give_up_inside_on_ack()
+        # no retransmission timer fired (5 s): the fast retransmit ended it
+        assert sender.closed and sender.stats.aborted == RETRANSMISSION_LIMIT
+        assert sender.stats.fast_retransmits == 1
+        assert sender.stats.retransmissions == 5  # seqs 1-5, outstanding
+        assert len(w.delivered) == 1  # seq 0 only
+        w.quiesce_and_check(sender, pooled=kind == "shipped")
+
+
+@pytest.mark.parametrize("kind", EXECUTORS)
+def test_a_drain_waiter_ends_a_closing_session(executors, kind):
+    """``close()`` waits for the last ACK; a drain waiter that the same ACK
+    completes aborts the session under ``finalize_ack``, whose close step
+    (``_maybe_finish_close``) and ``handle_ack`` must then stop."""
+    with executors(kind):
+        w = CodecWorld()
+        ended = []
+        cfg = SessionConfig(connection="implicit")
+        w.listen(cfg)
+        sender = w.open(cfg, on_ended=ended.append)
+        for _ in range(3):
+            sender.send(b"d" * 300)
+        sender.close()
+        sender.drain(lambda: sender.abort(f"{PEER_DEAD}: drained"))
+        w.sim.run(until=1.0)
+        assert ended == [f"{PEER_DEAD}: drained"]
+        # the close never reached its termination exchange: no FIN went out
+        assert len(w.delivered) == 3 and sender.stats.pdus_sent == 3
+        w.quiesce_and_check(sender, pooled=kind == "shipped")
+
+
+def test_a_late_send_names_the_end_reason():
+    _, sender = give_up_inside_on_ack()
+    with pytest.raises(RuntimeError, match=RETRANSMISSION_LIMIT):
+        sender.send(b"late")
+    # the application's source counts it as it counts any refused send
+    source = AppSource(sender.sim, sender, "late")
+    source.emit(b"late")
+    assert source.send_errors == 1 and source.messages_sent == 0
+
+
+@pytest.mark.parametrize("reason", [f"{PEER_DEAD}: B went away", GRACEFUL_CLOSE])
+def test_a_late_send_after_abort_or_close_names_its_reason(reason):
+    w = TwoHosts()
+    sender = w.transfer(SessionConfig(), [b"x"], until=2.0)
+    if reason == GRACEFUL_CLOSE:
+        sender.close()
+        w.sim.run(until=4.0)
+    else:
+        sender.abort(reason)
+    assert sender.closed
+    with pytest.raises(RuntimeError, match=f"session ended: {reason}$"):
+        sender.send(b"late")
+
+
+def test_a_held_closed_handle_answers_its_public_calls():
+    w = TwoHosts()
+    ended = []
+    w.listen()
+    sender = w.open(SessionConfig(connection="implicit"), on_ended=ended.append)
+    sender.send(b"a" * 300)
+    sender.pause()
+    sender.send(b"b" * 300)  # queued behind the pause, abandoned by the abort
+    w.sim.run(until=0.5)
+    fast = sender.executor.fast_sends
+    assert fast == 1
+    sender.abort(f"{PEER_DEAD}: first")
+    assert ended == [f"{PEER_DEAD}: first"]
+
+    sender.abort(f"{PEER_DEAD}: second")  # no second end
+    sender.close()
+    assert ended == [f"{PEER_DEAD}: first"]
+    assert sender.stats.aborted == f"{PEER_DEAD}: first"
+    drained = []
+    sender.drain(lambda: drained.append(True))
+    assert drained == [True]  # at once: nothing can be outstanding
+    sender.pump()
+    sender.resume()
+    assert not sender.connected and sender.closed
+    # ``bench/workloads.py`` reads this off closed sessions for
+    # ``tko.fast_path_frac``
+    assert sender.executor.fast_sends == fast
+    assert sender.executor.s is None  # the session <-> executor cycle is gone
+    sent = sender.stats.pdus_sent
+    w.sim.run(until=2.0)
+    assert sender.stats.pdus_sent == sent and len(w.delivered) == 1
+    assert w.pa.frames_unclaimed == 0
+
+
+def test_a_frame_for_an_ended_session_takes_the_demux_miss_path():
+    """A aborts with B's ACK on its way back: teardown unbound the demux
+    entry, so the ACK is retired as unclaimed and never meets the session."""
+    w = CodecWorld()
+    cfg = SessionConfig(connection="implicit")
+    w.listen(cfg)
+    sender = w.open(cfg)
+    sender.send(b"a" * 300)
+    while not w.delivered:  # B has it; its ACK is not back yet
+        w.sim.run(until=w.sim.now + 1e-4)
+    assert sender.stats.acks_received == 0
+    sender.abort(f"{PEER_DEAD}: gone")
+    w.sim.run(until=1.0)
+    assert len(w.delivered) == 1 and w.pa.frames_unclaimed == 1
+    assert sender.stats.acks_received == 0
+    w.quiesce_and_check(sender)
