@@ -1,13 +1,14 @@
-"""Connection-scale churn scenario: thousands of sessions on one host pair.
+"""Connection-scale churn: thousands of sessions opened, used and closed.
 
 The C10K-style workload behind the scale benchmark (EXPERIMENTS.md row
-"scale"): one initiator host opens a large mixed-TSC population of
-adaptive connections against one responder — voice conversations
-(implicit establishment), compressed video (explicit 2-way), bulk file
-transfers (explicit 3-way) and telnet (implicit, transactional) — in
-staggered waves, holds them concurrently open for class-specific
-lifetimes, sends a few class-sized messages each, closes them, and
-deterministically reopens a third of the population once (churn).
+"scale"): initiators open a large mixed-TSC population of adaptive
+connections — voice conversations (implicit establishment), compressed
+video (explicit 2-way), bulk file transfers (explicit 3-way) and telnet
+(implicit, transactional) — in staggered waves, hold them concurrently
+open for class-specific lifetimes, send a few class-sized messages each,
+close them, and deterministically reopen a third of the population once
+(churn).  One driver, :class:`ChurnScenario`, runs it in two worlds: one
+host pair, and :class:`GroupedChurnScenario`'s shard-ready host groups.
 
 Everything is derived from the system seed and connection index, so one
 seed produces a bit-identical run: the receiver-side delivery digest,
@@ -15,7 +16,6 @@ establishment/close counts, and peak concurrency are compared across
 repeated runs, under the executor and the test tree's oracle, and against
 the frozen values in ``tests/golden.py``.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -31,6 +31,13 @@ from repro.netsim.profiles import NetworkProfile, ethernet_10, linear_path
 from repro.tko.templates import TemplateCache
 
 SERVICE_PORT = 7000
+
+#: connections opened per wave; waves start ``wave_interval`` apart
+WAVE_SIZE = 50
+
+#: in the grouped world, every ``CROSS_EVERY``-th connection of a group
+#: is served across a trunk by the next group's remote responder
+CROSS_EVERY = 4
 
 #: trunk propagation delay between neighbouring groups — the shard
 #: lookahead.  Long relative to the access links (5 ms vs 100 µs) so the
@@ -123,16 +130,27 @@ CLASS_SHARES: Dict[str, float] = {
 
 
 class ChurnScenario:
-    """Deterministic open/send/close churn of ``n_connections`` sessions."""
+    """Deterministic open/send/close churn of ``n_connections`` sessions.
+
+    The one churn driver: waves of opens, then each connection's sends,
+    close and reopen.  A world supplies only its topology (:meth:`_build`),
+    who opens and who answers connection ``index`` (:meth:`_initiator`,
+    :meth:`_responder_of`), its delivery digest (:meth:`_on_deliver`) and
+    :meth:`collect`.  This one is initiator ``A`` and responder ``B``
+    behind one switch.  Connection ``index`` is in group
+    ``index % n_groups``; peak concurrency is the sum of per-group peaks.
+    """
+
+    #: one group: every connection is opened by ``A``
+    n_groups = 1
+    owned_groups = (0,)
 
     def __init__(
         self,
         n_connections: int = 1000,
         seed: int = 7,
-        wave_size: int = 50,
         wave_interval: float = 0.02,
         reopen_every: int = 3,
-        rx_batching: bool = False,
         transport=None,
     ) -> None:
         if n_connections <= 0:
@@ -144,11 +162,34 @@ class ChurnScenario:
         # the digest equivalence test passes route_frames=True here to
         # prove the backend interface is bit-identical to the old wiring.
         self.system = AdaptiveSystem(seed=seed, transport=transport)
+        self.sim = self.system.sim
+        self._build()
+
+        self.delivered = 0
+        self.established = 0
+        self.failed = 0
+        self.closed = 0
+        self.reopened = 0
+        self._live = {g: 0 for g in self.owned_groups}
+        self._peak = {g: 0 for g in self.owned_groups}
+
+        # staggered waves over *global* indices (identical schedule in
+        # every build); a world opens only the connections it initiates
+        owned = set(self.owned_groups)
+        for start in range(0, n_connections, WAVE_SIZE):
+            wave = [i for i in range(start, min(start + WAVE_SIZE, n_connections))
+                    if i % self.n_groups in owned]
+            if wave:
+                delay = (start // WAVE_SIZE) * wave_interval
+                self.sim.schedule(delay, lambda w=wave: self._open_wave(w))
+
+    # ------------------------------------------------------------------
+    def _build(self) -> None:
         # One switch on a fast LAN: explicit negotiations to a single peer
         # all share one signalling session, so the path must turn requests
         # around well inside NEGOTIATION_TIMEOUT even when hundreds queue.
         self.network = linear_path(
-            self.system.sim, ethernet_10(), ("A", "B"), n_switches=1,
+            self.sim, ethernet_10(), ("A", "B"), n_switches=1,
             rng=self.system.rng,
         )
         self.system.attach_network(self.network)
@@ -162,44 +203,40 @@ class ChurnScenario:
         )
         for node in (self.a, self.b):
             node.mantts.resources.configure_classes(CLASS_SHARES)
-        if rx_batching:
-            self.a.mantts.manager.enable_rx_batching()
-            self.b.mantts.manager.enable_rx_batching()
-
         self._delivery = hashlib.sha256()
-        self.delivered = 0
-        self.established = 0
-        self.failed = 0
-        self.closed = 0
-        self.reopened = 0
-        self.live = 0
-        self.peak_concurrent = 0
-        self._failures: List[str] = []
-
         self.b.mantts.register_service(SERVICE_PORT, on_deliver=self._on_deliver)
 
-        sim = self.system.sim
-        for start in range(0, n_connections, wave_size):
-            wave = list(range(start, min(start + wave_size, n_connections)))
-            delay = (start // wave_size) * wave_interval
-            sim.schedule(delay, lambda w=wave: self._open_wave(w))
+    def _initiator(self, index: int):
+        return self.a
 
-    # ------------------------------------------------------------------
+    def _responder_of(self, index: int) -> str:
+        return "B"
+
+    def _class_of(self, index: int) -> ConnClass:
+        return CLASSES[(index // self.n_groups) % len(CLASSES)]
+
     def _on_deliver(self, data: bytes, meta: dict) -> None:
         self.delivered += 1
         self._delivery.update(data)
         self._delivery.update(b"|")
 
+    @property
+    def live(self) -> int:
+        """Connections established and not yet closed, over all groups."""
+        return sum(self._live.values())
+
+    # ------------------------------------------------------------------
     def _open_wave(self, indices: List[int]) -> None:
         for i in indices:
             self._open_one(i, reopen=(self.reopen_every > 0
                                       and i % self.reopen_every == 0))
 
     def _open_one(self, index: int, reopen: bool) -> None:
-        cls = CLASSES[index % len(CLASSES)]
-        acd = ACD(participants=("B",), service_port=SERVICE_PORT, **cls.acd_kw)
+        cls = self._class_of(index)
+        acd = ACD(participants=(self._responder_of(index),),
+                  service_port=SERVICE_PORT, **cls.acd_kw)
         state = {"index": index, "cls": cls, "reopen": reopen}
-        conn = self.a.mantts.open(
+        conn = self._initiator(index).mantts.open(
             acd,
             on_connected=lambda c, s=state: self._on_connected(c, s),
             on_failed=lambda reason, s=state: self._on_failed(reason, s),
@@ -208,12 +245,12 @@ class ChurnScenario:
 
     def _on_connected(self, conn, state: dict) -> None:
         self.established += 1
-        self.live += 1
-        if self.live > self.peak_concurrent:
-            self.peak_concurrent = self.live
-        sim = self.system.sim
         cls: ConnClass = state["cls"]
         index: int = state["index"]
+        g = index % self.n_groups
+        self._live[g] += 1
+        if self._live[g] > self._peak[g]:
+            self._peak[g] = self._live[g]
         # class-sized messages, spread across the first part of the
         # lifetime; payload identifies (class, connection, message) so the
         # receiver-order digest is meaningful
@@ -221,8 +258,10 @@ class ChurnScenario:
         for m in range(cls.messages):
             tag = f"{cls.name}:{index}:{m}:".encode()
             payload = tag + b"x" * max(0, cls.message_bytes - len(tag))
-            sim.schedule((m + 1) * gap, lambda c=conn, p=payload: self._send(c, p))
-        sim.schedule(cls.lifetime, lambda s=state: self._close(s))
+            self.sim.schedule(
+                (m + 1) * gap, lambda c=conn, p=payload: self._send(c, p)
+            )
+        self.sim.schedule(cls.lifetime, lambda s=state: self._close(s))
 
     @staticmethod
     def _send(conn, payload: bytes) -> None:
@@ -235,19 +274,18 @@ class ChurnScenario:
             return
         conn.close()
         self.closed += 1
-        self.live -= 1
+        self._live[state["index"] % self.n_groups] -= 1
         if state["reopen"]:
             state["reopen"] = False
             self.reopened += 1
             # deterministic churn: same class, fresh connection, shortly
             # after the close completes
-            self.system.sim.schedule(
+            self.sim.schedule(
                 0.05, lambda i=state["index"]: self._open_one(i, reopen=False)
             )
 
     def _on_failed(self, reason: str, state: dict) -> None:
         self.failed += 1
-        self._failures.append(f"{state['cls'].name}:{state['index']}: {reason}")
 
     # ------------------------------------------------------------------
     def run(self, until: float = 20.0) -> "ChurnScenario":
@@ -267,15 +305,13 @@ class ChurnScenario:
             "closed": self.closed,
             "reopened": self.reopened,
             "delivered": self.delivered,
-            "peak_concurrent": self.peak_concurrent,
+            "peak_concurrent": sum(self._peak.values()),
             "delivery_digest": self._delivery.hexdigest(),
-            "final_time": round(self.system.sim.now, 9),
-            "events_dispatched": self.system.sim.events_dispatched,
+            "final_time": round(self.sim.now, 9),
+            "events_dispatched": self.sim.events_dispatched,
             "timer_group_coalesced": snap["timer_group_coalesced"],
             "probe_cache_hits": snap["probe_cache_hits"],
             "scs_cache_hits": snap["scs_cache_hits"],
-            "rx_coalesced_frames": self.a.host.rx_coalesced_frames
-            + self.b.host.rx_coalesced_frames,
         }
 
 
@@ -292,8 +328,13 @@ def run_churn(
 
 def identity_fields(metrics: Dict[str, object]) -> Dict[str, object]:
     """The subset of churn metrics that must be bit-identical for one seed
-    across repeated runs and executors (event and cache/coalescing
-    counters are bookkeeping, not outcome, and are excluded)."""
+    across repeated runs, executors, and serial and sharded builds.
+
+    ``peak_concurrent`` is the sum of per-group peaks (well-defined under
+    any partition).  Event and cache/coalescing counters are bookkeeping,
+    not outcome, and are excluded — ``events_dispatched`` because shard
+    kernels legitimately dispatch different bookkeeping events (wave
+    lambdas, injected arrivals) than one serial kernel."""
     keys = (
         "n_connections", "established", "failed", "closed", "reopened",
         "delivered", "peak_concurrent", "delivery_digest", "final_time",
@@ -301,10 +342,14 @@ def identity_fields(metrics: Dict[str, object]) -> Dict[str, object]:
     return {k: metrics[k] for k in keys}
 
 
+#: the serial ≡ sharded identity of grouped churn is the same payload
+grouped_identity_fields = identity_fields
+
+
 # ======================================================================
 # grouped / shard-aware churn (the one-world parallel scale scenario)
 # ======================================================================
-class GroupedChurnScenario:
+class GroupedChurnScenario(ChurnScenario):
     """Mixed-TSC churn across ``n_groups`` host groups — the shard-ready
     one-world topology (see ``docs/sharding.md``).
 
@@ -312,11 +357,12 @@ class GroupedChurnScenario:
     ``B{g}`` on switch ``s{g}`` over 10 Mb/s access links, plus a
     *remote-service* responder ``R{g}`` attached **directly to the
     previous group's switch** ``s{(g-1)%G}`` over a long-delay trunk.
-    Group ``g``'s cross-group connections terminate on ``R{(g+1)%G}``,
-    so the probed path ``A{g} -> s{g} -> R{(g+1)%G}`` crosses exactly one
-    trunk whose near half group ``g`` owns: under sharding, every link a
-    network monitor ever samples carries live, single-writer state that
-    evolves identically to the serial run.  Trunk delay = lookahead.
+    Every ``CROSS_EVERY``-th connection of group ``g`` terminates on
+    ``R{(g+1)%G}``, so the probed path ``A{g} -> s{g} -> R{(g+1)%G}``
+    crosses exactly one trunk whose near half group ``g`` owns: under
+    sharding, every link a network monitor ever samples carries live,
+    single-writer state that evolves identically to the serial run.
+    Trunk delay = lookahead.
 
     The same constructor builds the serial world (``shard_id=None``) and
     each worker's world (``shard_id=k``): the **full topology always
@@ -329,18 +375,17 @@ class GroupedChurnScenario:
     builds — so template warming never couples groups across a shard
     boundary.
 
-    The delivery digest is assembled per global connection index (parsed
-    from the payload tag), so per-shard partial digests merge into a
-    value bit-identical to the serial digest: :func:`merge_conn_digests`.
+    The churn itself is :class:`ChurnScenario`'s.  The delivery digest is
+    assembled per global connection index (parsed from the payload tag),
+    so per-shard partial digests merge into a value bit-identical to the
+    serial digest: :func:`merge_conn_digests`.
     """
 
     def __init__(
         self,
         n_connections: int = 1000,
         n_groups: int = 4,
-        cross_every: int = 4,
         seed: int = 7,
-        wave_size: int = 50,
         wave_interval: float = 0.02,
         reopen_every: int = 3,
         shard_id: Optional[int] = None,
@@ -352,31 +397,33 @@ class GroupedChurnScenario:
         # keyword is accepted with that one value until bench/ drops it.
         if mode != "coalesced":
             raise ValueError(f"unknown manager mode {mode!r}")
-        if n_connections <= 0:
-            raise ValueError("n_connections must be positive")
         if n_groups < 1:
             raise ValueError("need at least one group")
         if n_shards > n_groups:
             raise ValueError("cannot have more shards than groups")
         if shard_id is not None and not (0 <= shard_id < n_shards):
             raise ValueError(f"shard_id {shard_id} outside [0, {n_shards})")
-        self.n_connections = n_connections
         self.n_groups = n_groups
-        self.cross_every = cross_every
-        self.reopen_every = reopen_every
         self.shard_id = shard_id
         self.n_shards = n_shards
 
         from repro.shard.partition import ShardPlan
 
-        G = n_groups
         self.plan = ShardPlan.from_groups(
-            [{f"A{g}", f"B{g}", f"R{g}", f"s{g}"} for g in range(G)],
+            [{f"A{g}", f"B{g}", f"R{g}", f"s{g}"} for g in range(n_groups)],
             max(n_shards, 1),
         )
-        self.system = AdaptiveSystem(seed=seed)
-        sim = self.system.sim
-        self.sim = sim
+        if shard_id is None:
+            self.owned_groups = list(range(n_groups))
+        else:
+            self.owned_groups = [
+                g for g in range(n_groups)
+                if self.plan.shard_of(f"s{g}") == shard_id
+            ]
+        super().__init__(n_connections, seed, wave_interval, reopen_every)
+
+    def _build(self) -> None:
+        sim, G = self.sim, self.n_groups
 
         # --- full topology, identical in every build -------------------
         net = Network(sim, self.system.rng)
@@ -401,12 +448,6 @@ class GroupedChurnScenario:
         self.network = self.system.attach_network(net)
 
         # --- locally-owned groups only ---------------------------------
-        if shard_id is None:
-            self.owned_groups = list(range(G))
-        else:
-            self.owned_groups = [
-                g for g in range(G) if self.plan.shard_of(f"s{g}") == shard_id
-            ]
         self.nodes: Dict[str, object] = {}
         for g in self.owned_groups:
             cache = TemplateCache()
@@ -426,55 +467,27 @@ class GroupedChurnScenario:
         # --- boundary links -> gateway mode (shard builds only) --------
         self.gateway = None
         self.lookahead = None
-        if shard_id is not None and n_shards > 1:
+        if self.shard_id is not None and self.n_shards > 1:
             from repro.shard.gateway import ShardGateway, make_boundary
 
             self.lookahead = self.plan.lookahead(self.network)
-            self.gateway = ShardGateway(sim, self.network, shard_id)
+            self.gateway = ShardGateway(sim, self.network, self.shard_id)
             for (u, v), (su, sv) in self.plan.boundary_links(
                     self.network).items():
-                if su == shard_id:
+                if su == self.shard_id:
                     make_boundary(self.network.links[(u, v)],
                                   self.gateway, sv, v)
 
-        # --- churn bookkeeping -----------------------------------------
         self._conn_digests: Dict[int, "hashlib._Hash"] = {}
-        self.delivered = 0
-        self.established = 0
-        self.failed = 0
-        self.closed = 0
-        self.reopened = 0
-        self._live: Dict[int, int] = {g: 0 for g in self.owned_groups}
-        self._peak: Dict[int, int] = {g: 0 for g in self.owned_groups}
-        self._failures: List[str] = []
 
-        # staggered waves over *global* indices (identical schedule in
-        # every build); a shard only opens the connections it initiates
-        for start in range(0, n_connections, wave_size):
-            wave = [
-                i for i in range(start, min(start + wave_size, n_connections))
-                if (i % G) in self._owned_set
-            ]
-            if wave:
-                delay = (start // wave_size) * wave_interval
-                sim.schedule(delay, lambda w=wave: self._open_wave(w))
-
-    # ------------------------------------------------------------------
-    @property
-    def _owned_set(self) -> set:
-        return set(self.owned_groups)
-
-    def _class_of(self, index: int) -> ConnClass:
-        return CLASSES[(index // self.n_groups) % len(CLASSES)]
+    def _initiator(self, index: int):
+        return self.nodes[f"A{index % self.n_groups}"]
 
     def _responder_of(self, index: int) -> str:
         g = index % self.n_groups
-        within = index // self.n_groups
-        cross = (self.n_groups > 1 and self.cross_every > 0
-                 and within % self.cross_every == 0)
+        cross = self.n_groups > 1 and (index // self.n_groups) % CROSS_EVERY == 0
         return f"R{(g + 1) % self.n_groups}" if cross else f"B{g}"
 
-    # ------------------------------------------------------------------
     def _on_deliver(self, data: bytes, meta: dict) -> None:
         self.delivered += 1
         index = int(data.split(b":", 3)[1])
@@ -483,67 +496,6 @@ class GroupedChurnScenario:
             h = self._conn_digests[index] = hashlib.sha256()
         h.update(data)
         h.update(b"|")
-
-    def _open_wave(self, indices: List[int]) -> None:
-        for i in indices:
-            self._open_one(i, reopen=(self.reopen_every > 0
-                                      and i % self.reopen_every == 0))
-
-    def _open_one(self, index: int, reopen: bool) -> None:
-        g = index % self.n_groups
-        cls = self._class_of(index)
-        responder = self._responder_of(index)
-        acd = ACD(participants=(responder,), service_port=SERVICE_PORT,
-                  **cls.acd_kw)
-        state = {"index": index, "cls": cls, "reopen": reopen, "group": g}
-        conn = self.nodes[f"A{g}"].mantts.open(
-            acd,
-            on_connected=lambda c, s=state: self._on_connected(c, s),
-            on_failed=lambda reason, s=state: self._on_failed(reason, s),
-        )
-        state["conn"] = conn
-
-    def _on_connected(self, conn, state: dict) -> None:
-        self.established += 1
-        g = state["group"]
-        self._live[g] += 1
-        if self._live[g] > self._peak[g]:
-            self._peak[g] = self._live[g]
-        cls: ConnClass = state["cls"]
-        index: int = state["index"]
-        gap = cls.lifetime / (cls.messages + 2)
-        for m in range(cls.messages):
-            tag = f"{cls.name}:{index}:{m}:".encode()
-            payload = tag + b"x" * max(0, cls.message_bytes - len(tag))
-            self.sim.schedule(
-                (m + 1) * gap, lambda c=conn, p=payload: self._send(c, p)
-            )
-        self.sim.schedule(cls.lifetime, lambda s=state: self._close(s))
-
-    _send = staticmethod(ChurnScenario._send)
-
-    def _close(self, state: dict) -> None:
-        conn = state["conn"]
-        if conn._failed:
-            return
-        conn.close()
-        self.closed += 1
-        self._live[state["group"]] -= 1
-        if state["reopen"]:
-            state["reopen"] = False
-            self.reopened += 1
-            self.sim.schedule(
-                0.05, lambda i=state["index"]: self._open_one(i, reopen=False)
-            )
-
-    def _on_failed(self, reason: str, state: dict) -> None:
-        self.failed += 1
-        self._failures.append(f"{state['cls'].name}:{state['index']}: {reason}")
-
-    # ------------------------------------------------------------------
-    def run(self, until: float) -> "GroupedChurnScenario":
-        self.system.run(until=until)
-        return self
 
     def collect(self) -> Dict[str, object]:
         """Deterministic metrics; in a shard build these are *partial*
@@ -587,15 +539,14 @@ def merge_conn_digests(digests: Dict[int, str]) -> str:
     return acc.hexdigest()
 
 
-def grouped_duration(n_connections: int, wave_size: int = 50,
-                     wave_interval: float = 0.02) -> float:
+def grouped_duration(n_connections: int, wave_interval: float = 0.02) -> float:
     """Simulated horizon covering every open, reopen, and close.
 
     Wave span + the longest lifetime twice (original + reopen) + slack
     for establishment/teardown signalling.  Serial and sharded entry
     points must use the same value — both call this.
     """
-    waves = (n_connections + wave_size - 1) // wave_size
+    waves = (n_connections + WAVE_SIZE - 1) // WAVE_SIZE
     longest = max(c.lifetime for c in CLASSES)
     return waves * wave_interval + 2 * longest + 2.0
 
@@ -612,9 +563,7 @@ def run_grouped_churn(
         n_connections=n_connections, n_groups=n_groups, seed=seed, **kw,
     )
     if duration is None:
-        duration = grouped_duration(n_connections,
-                                    kw.get("wave_size", 50),
-                                    kw.get("wave_interval", 0.02))
+        duration = grouped_duration(n_connections, kw.get("wave_interval", 0.02))
     return scenario.run(until=duration).collect()
 
 
@@ -642,9 +591,7 @@ def run_sharded_churn(
     from repro.shard.coordinator import ShardCoordinator
 
     if duration is None:
-        duration = grouped_duration(n_connections,
-                                    kw.get("wave_size", 50),
-                                    kw.get("wave_interval", 0.02))
+        duration = grouped_duration(n_connections, kw.get("wave_interval", 0.02))
     coordinator = ShardCoordinator(
         builder=build_churn_shard,
         builder_kw=dict(
@@ -692,17 +639,3 @@ def merge_sharded_metrics(
         "shards": shards,
     }
     return merged
-
-
-def grouped_identity_fields(metrics: Dict[str, object]) -> Dict[str, object]:
-    """The serial ≡ sharded bit-identity payload for grouped churn.
-
-    ``peak_concurrent`` is the sum of per-group peaks (well-defined under
-    any partition); ``events_dispatched`` is excluded — shard kernels
-    legitimately dispatch different bookkeeping events (wave lambdas,
-    injected arrivals) than one serial kernel."""
-    keys = (
-        "n_connections", "established", "failed", "closed", "reopened",
-        "delivered", "peak_concurrent", "delivery_digest", "final_time",
-    )
-    return {k: metrics[k] for k in keys}

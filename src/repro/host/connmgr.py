@@ -32,11 +32,7 @@ rides along with every MANTTS entity and owns:
   of re-deriving the whole configuration;
 * **admission + population accounting** — per-host gauges (pending /
   open / degraded connection counts, admission accepts/rejects, timer
-  occupancy) published to UNITES-X when telemetry is enabled;
-* optional **NIC interrupt coalescing** (:meth:`enable_rx_batching`) —
-  amortises the per-frame interrupt charge across frames arriving within
-  a window.  Off by default because it changes simulated timings; the
-  scale benchmark's bit-identity gate runs with it off.
+  occupancy) published to UNITES-X when telemetry is enabled.
 """
 
 from __future__ import annotations
@@ -462,23 +458,6 @@ class ConnectionManager:
         else:
             self.degraded_refs.discard(conn.ref)
         self._publish()
-
-    # ------------------------------------------------------------------
-    # NIC/CPU batching (opt-in: changes simulated timings)
-    # ------------------------------------------------------------------
-    def enable_rx_batching(self, window: float = 2e-4) -> None:
-        """Coalesce receive interrupts within ``window`` seconds.
-
-        Frames arriving while a window is open skip the per-frame
-        interrupt charge (they ride the first frame's interrupt), paying
-        only the context switch — the §2.2(A)(3) amortisation.  This is a
-        *model change*: simulated timings shift, so it stays off for
-        equivalence checks and is enabled explicitly per experiment.
-        """
-        self.host.rx_coalesce_window = float(window)
-
-    def disable_rx_batching(self) -> None:
-        self.host.rx_coalesce_window = 0.0
 
     # ------------------------------------------------------------------
     # views

@@ -17,7 +17,6 @@ from repro.host.buffers import BufferPool
 from repro.host.cpu import Cpu, CpuCosts
 from repro.netsim.frame import Frame
 from repro.sim.kernel import Simulator
-from repro.sim.timers import TimerWheel
 from repro.host.ports import PortTable
 
 
@@ -48,7 +47,6 @@ class Host:
         self.cpu = Cpu(sim, mips=mips, costs=costs, cores=cores)
         self.buffers = BufferPool(buffer_capacity, discipline=buffer_discipline)  # type: ignore[arg-type]
         self.ports = PortTable()
-        self.timers = TimerWheel(sim)
         # Imported lazily: repro.tko depends on repro.host at import time.
         from repro.tko.message import CopyMeter
 
@@ -58,14 +56,6 @@ class Host:
         self.frames_sent = 0
         self.frames_received = 0
         self.frames_discarded = 0
-        #: receive-interrupt coalescing window, seconds; 0 = off (default).
-        #: While a window is open, further arrivals skip the per-frame
-        #: interrupt charge (§2.2(A)(3) amortisation).  Opt-in via
-        #: ``ConnectionManager.enable_rx_batching`` — it changes simulated
-        #: timings, so equivalence baselines keep it off.
-        self.rx_coalesce_window = 0.0
-        self._rx_window_until = 0.0
-        self.rx_coalesced_frames = 0
         network.attach_host(name, self._on_frame)
 
     # ------------------------------------------------------------------
@@ -97,15 +87,6 @@ class Host:
             self.frames_discarded += 1
             return
         cost = self.cpu.costs.interrupt + self.cpu.costs.context_switch
-        if self.rx_coalesce_window > 0.0:
-            now = self.sim.now
-            if now < self._rx_window_until:
-                # riding the window-opening frame's interrupt: only the
-                # context switch to protocol code is charged
-                cost = self.cpu.costs.context_switch
-                self.rx_coalesced_frames += 1
-            else:
-                self._rx_window_until = now + self.rx_coalesce_window
         self.cpu.submit(cost, self.protocol_entry, frame)
 
     # ------------------------------------------------------------------

@@ -66,10 +66,11 @@ class TKOSession:
     answers only what is read after close: ``stats``, ``rtt``, ``cfg``,
     ``conn_id`` and the addresses, ``closed``, ``executor.fast_sends``,
     ``context.describe()``.  Its end is answered where a caller comes in,
-    not on the data path: a late frame finds no demux binding, ``send``
-    raises with the end reason, ``abort`` / ``close`` / ``pump`` /
-    ``resume`` do nothing and ``drain`` calls back at once.  The instance
-    ``__dict__`` exists for one seam, shadowing ``_handle_ack``.
+    not on the data path: a late frame finds no demux binding; ``send``,
+    ``connect``, ``segue``, ``segment_size``, ``advertised_window`` and a
+    read of ``rng`` raise with the end reason; ``abort`` / ``close`` /
+    ``pump`` / ``resume`` do nothing and ``drain`` calls back at once.
+    The instance ``__dict__`` exists for one seam, shadowing ``_handle_ack``.
     """
 
     __slots__ = (
@@ -167,8 +168,16 @@ class TKOSession:
         change the numbers; a session that never meets a corrupted frame
         never builds a stream or grows the stream table, and the detection
         miss test (one ``random()`` per corrupted frame) draws without numpy.
+        An ended session has no stream and builds none.
         """
+        if self._closed:
+            raise self._ended_error()
         return self.host.network.rng.stream(self._rng_name)
+
+    def _ended_error(self) -> RuntimeError:
+        """What a public call on an ended session raises: its end reason."""
+        return RuntimeError(
+            f"session ended: {self.stats.aborted or GRACEFUL_CLOSE}")
 
     def _notify(self, event: str, **details) -> None:
         if not self.observers:
@@ -179,6 +188,8 @@ class TKOSession:
     def advertised_window(self) -> int:
         """Receive window advertised on outgoing ACKs: bounded by both the
         configured window and current buffer-pool pressure."""
+        if self._closed:
+            raise self._ended_error()
         buffered = len(self.recv_window.buffer)
         pool_share = int((1.0 - self.host.buffers.fill_fraction) * self.cfg.window)
         return max(0, min(self.cfg.window - buffered, pool_share))
@@ -188,6 +199,8 @@ class TKOSession:
     # ------------------------------------------------------------------
     def connect(self) -> None:
         """Begin establishment; the connected callback fires on success."""
+        if self._closed:
+            raise self._ended_error()
         self.context.connection.active_open()
 
     def send(self, data: bytes) -> int:
@@ -199,8 +212,7 @@ class TKOSession:
         allow.
         """
         if self._closed:
-            raise RuntimeError(
-                f"session ended: {self.stats.aborted or GRACEFUL_CLOSE}")
+            raise self._ended_error()
         return self.executor.send(data)
 
     def pump(self) -> None:
@@ -287,6 +299,8 @@ class TKOSession:
         the swapped slot's stage is recompiled; ``adopt()`` inside
         ``context.segue`` has already transferred the mechanism state.
         """
+        if self._closed:
+            raise self._ended_error()
         if self.cfg.binding == "static":
             raise RuntimeError(
                 "session was customized as a static template; segue requires "
@@ -370,6 +384,8 @@ class TKOSession:
         large as the biggest data shard in its group *plus* per-shard
         group metadata, and it must still fit the path MTU.
         """
+        if self._closed:
+            raise self._ended_error()
         if self.cfg.segment_size is not None:
             return self.cfg.segment_size
         dst = self.context.delivery.destinations()[0]

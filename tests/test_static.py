@@ -204,7 +204,12 @@ ENDED_SESSION_CHECKS = {
         "_teardown": (1, "the flag goes up, once"),
         "connected": (1, "public: False once ended"),
         "closed": (1, "public"),
+        "rng": (1, "public: raises, and builds no stream once ended"),
+        "advertised_window": (1, "public: raises with the end reason"),
+        "connect": (1, "public: raises with the end reason"),
         "send": (1, "public: raises with the end reason"),
+        "segue": (1, "public: raises with the end reason"),
+        "segment_size": (1, "public: raises with the end reason"),
         "pump": (1, "public: does nothing once ended"),
         "drain": (1, "public: calls back at once once ended"),
         "_end": (1, "public abort: one end, one on_ended"),

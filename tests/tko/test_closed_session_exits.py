@@ -15,7 +15,8 @@ The last part of the file covers what meets a session *after* its end:
 recovery that gives up inside ``on_ack`` and a drain waiter that aborts a
 closing session (the executor's re-entries on the send side), a late
 ``send()`` that names the end reason, and the public calls on a held
-closed handle.  Each check ``tests/test_static.py`` names fails one of
+closed handle (``connect``, ``segue``, ``segment_size``,
+``advertised_window`` and ``rng`` name the end reason as ``send`` does).  Each check ``tests/test_static.py`` names fails one of
 these tests when it is taken out.
 
 Every scenario runs with the wire codec in the middle (encode, decode into
@@ -425,6 +426,28 @@ def test_a_held_closed_handle_answers_its_public_calls():
     w.sim.run(until=2.0)
     assert sender.stats.pdus_sent == sent and len(w.delivered) == 1
     assert w.pa.frames_unclaimed == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.connect(),
+    lambda s: s.segue("recovery", None),
+    lambda s: s.advertised_window(),
+    lambda s: s.segment_size(),
+    lambda s: s.rng,
+], ids=["connect", "segue", "advertised_window", "segment_size", "rng"])
+def test_a_held_closed_handle_names_its_end_on_every_other_call(call):
+    """The calls that need live machinery answer as ``send`` does, and a
+    read of ``rng`` does not rebuild the stream the teardown discarded."""
+    w = TwoHosts()
+    w.listen()
+    sender = w.open(SessionConfig(connection="implicit"))
+    sender.send(b"a" * 300)
+    w.sim.run(until=0.5)
+    sender.abort(f"{PEER_DEAD}: gone")
+    streams = set(w.rng._streams)
+    with pytest.raises(RuntimeError, match=f"^session ended: {PEER_DEAD}: gone$"):
+        call(sender)
+    assert set(w.rng._streams) == streams
 
 
 def test_a_frame_for_an_ended_session_takes_the_demux_miss_path():

@@ -1,8 +1,8 @@
-"""One executor under ``src/``, selected by nothing.
+"""One executor under ``src/``, selected by nothing; one churn driver.
 
 Structural checks that keep it so: a second data path, a module-level
-switch, or a kernel handler the repo benchmark cannot attribute would each
-pass every behavioural test.
+switch, a second copy of the churn driver, or a kernel handler the repo
+benchmark cannot attribute would each pass every behavioural test.
 """
 
 import ast
@@ -11,7 +11,7 @@ import inspect
 from pathlib import Path
 
 from repro.core.churn import (
-    TRUNK_DELAY, GroupedChurnScenario, grouped_duration)
+    TRUNK_DELAY, ChurnScenario, GroupedChurnScenario, grouped_duration)
 from repro.shard.coordinator import ShardCoordinator
 from repro.tko import executor as executor_module
 from repro.tko.config import SessionConfig
@@ -58,8 +58,47 @@ def test_kernel_handlers_are_attributable_by_the_repo_benchmark():
         assert spans.handler_module(handler.__qualname__) == "tko", handler.__qualname__
 
 
-class _TracedChurn(GroupedChurnScenario):
-    """Grouped churn with telemetry on, reporting the handler labels its
+#: the churn driver: every kernel callback a churn world schedules
+DRIVER = ("_close", "_on_connected", "_on_failed", "_open_one", "_open_wave",
+          "_send")
+
+
+def test_both_churn_worlds_run_one_copy_of_the_driver():
+    """``bench/spans.py`` places a churn handler by the class that defines
+    it, and knows only ``ChurnScenario`` and ``GroupedChurnScenario``: the
+    driver lives on the first and on no base class, subclass or copy."""
+    classes = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (f"{path.relative_to(ROOT)}:{node.name}", node)
+    worlds = {"ChurnScenario"}
+    while True:
+        more = {name for name, (_, node) in classes.items() if any(
+            isinstance(base, ast.Name) and base.id in worlds for base in node.bases)}
+        if more <= worlds:
+            break
+        worlds |= more
+    assert "GroupedChurnScenario" in worlds
+    assert classes["ChurnScenario"][1].bases == []
+    owners = sorted((classes[name][0], defined) for name in worlds
+                    for defined in _class_body_names(classes[name][1])
+                    if defined in DRIVER)
+    assert owners == [("src/repro/core/churn.py:ChurnScenario", m) for m in DRIVER]
+
+
+def _class_body_names(node: ast.ClassDef):
+    """Names a class body binds: its methods and its assignments (an
+    alias such as ``_send = staticmethod(...)`` is a definition too)."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name
+        elif isinstance(item, ast.Assign):
+            yield from (t.id for t in item.targets if isinstance(t, ast.Name))
+
+
+class _Traced:
+    """A churn world with telemetry on, reporting the handler labels its
     kernel timed — what the benchmark's traced run reads per process."""
 
     def __init__(self, **kw):
@@ -72,26 +111,40 @@ class _TracedChurn(GroupedChurnScenario):
         return out
 
 
+class _TracedPair(_Traced, ChurnScenario):
+    pass
+
+
+class _TracedChurn(_Traced, GroupedChurnScenario):
+    pass
+
+
 def build_traced_shard(shard_id, **kw):
     """Shard-worker builder (module level: workers import it by name)."""
     return _TracedChurn(shard_id=shard_id, **kw)
 
 
 def test_every_handler_a_traced_world_dispatches_is_attributable():
-    """Serial and 2-shard: a handler ``bench/spans.py`` cannot place makes
-    ``bench/run.py`` report itself incorrect, and only ``bench/tests``
-    would notice — e.g. a boundary link's eager half defined on
-    ``GatewayLink`` instead of ``Link``."""
+    """Both churn worlds, the grouped one serial and on 2 shards: a
+    handler ``bench/spans.py`` cannot place makes ``bench/run.py`` report
+    itself incorrect, and only ``bench/tests`` would notice — e.g. a
+    boundary link's eager half defined on ``GatewayLink`` instead of
+    ``Link``."""
     spans = _bench_spans()
     kw = dict(n_connections=24, n_groups=4, seed=11)
-    until = grouped_duration(24, 50, 0.02)
-    try:
-        serial = _TracedChurn(**kw)
-        serial.run(until=until)
-        labels = set(serial.collect()["handlers"])
-    finally:
-        TELEMETRY.disable()
-        TELEMETRY.reset()
+    until = grouped_duration(24, 0.02)
+    labels = set()
+    for world, world_kw in ((_TracedPair, dict(n_connections=24, seed=11)),
+                            (_TracedChurn, kw)):
+        try:
+            serial = world(**world_kw)
+            serial.run(until=until)
+            labels.update(serial.collect()["handlers"])
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+    assert {"ChurnScenario.__init__.<locals>.<lambda>",
+            "ChurnScenario._on_connected.<locals>.<lambda>"} <= labels
     sharded = ShardCoordinator(
         builder=build_traced_shard, builder_kw=dict(n_shards=2, **kw),
         n_shards=2, until=until, lookahead=TRUNK_DELAY).run()
