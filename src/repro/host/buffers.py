@@ -92,21 +92,6 @@ class BufferPool:
         """Occupancy in [0, 1] — the buffer-pressure reconfiguration signal."""
         return self.in_use / self.capacity
 
-    def internal_waste(self) -> int:
-        """Bytes of capacity lost to slab rounding right now.
-
-        Always zero for variable pools; for fixed pools this is the price
-        paid for the cheaper allocation path (the time/space trade-off the
-        SCS negotiates).
-        """
-        # in_use counts footprints; waste is tracked implicitly as the
-        # difference accumulated by live buffers, so pools keep no per-buffer
-        # registry.  Callers that need exact waste sum it over their own
-        # buffers; this method reports the worst case for a full pool.
-        if self.discipline == "variable":
-            return 0
-        return self.in_use % self.slab_size if self.in_use else 0
-
     def resize(self, new_capacity: int) -> None:
         """Shrink or grow the pool (shrinking below in_use is allowed and
         simply blocks new allocations until enough buffers drain) — the

@@ -55,11 +55,6 @@ def gf_inv(a: int) -> int:
     return int(_EXP[255 - _LOG[a]])
 
 
-def gf_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``vec`` by ``scalar`` (table lookup)."""
-    return MUL_TABLE[scalar][vec]
-
-
 def gf_matmul(m: np.ndarray, shards: np.ndarray) -> np.ndarray:
     """(rows×k GF matrix) @ (k×L byte matrix) → rows×L byte matrix."""
     rows, k = m.shape

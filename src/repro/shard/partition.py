@@ -14,7 +14,7 @@ channel errors); a link whose destination lives elsewhere is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Mapping, Sequence, Set, Tuple
 
 
 class PartitionError(ValueError):
@@ -78,12 +78,6 @@ class ShardPlan:
             return self.owner[node]
         except KeyError:
             raise PartitionError(f"node {node!r} has no shard owner")
-
-    def is_local(self, node: str, shard_id: int) -> bool:
-        return self.shard_of(node) == shard_id
-
-    def nodes_of(self, shard_id: int) -> List[str]:
-        return sorted(n for n, s in self.owner.items() if s == shard_id)
 
     # ------------------------------------------------------------------
     def boundary_links(self, network) -> Dict[Tuple[str, str], Tuple[int, int]]:

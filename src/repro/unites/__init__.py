@@ -6,10 +6,11 @@ controlled transport-system experimentation:
 * :mod:`repro.unites.metrics` — the blackbox/whitebox metric catalogue;
 * :mod:`repro.unites.repository` — the metric repository (an in-memory
   database queried per-session, per-host, per-link, or system-wide);
-* :mod:`repro.unites.collect` — collectors and the ``UNITES`` facade that
-  MANTTS hands TMC requests to;
+* :mod:`repro.unites.collect` — the ``UNITES`` facade that MANTTS hands
+  TMC requests to; every ``instrument`` / ``watch_*`` route is one sample
+  function run by its one periodic sampler, which writes the repository;
 * :mod:`repro.unites.analyze` — statistics and A/B comparison;
-* :mod:`repro.unites.present` — tables / CSV / series / Prometheus text;
+* :mod:`repro.unites.present` — tables / CSV / series;
 * :mod:`repro.unites.experiment` — the controlled hypothesis-testing
   harness used by every benchmark in ``benchmarks/``;
 * :mod:`repro.unites.obs` — UNITES-X: the span/trace bus, typed metric
@@ -34,10 +35,8 @@ _EXPORTS = {
     "session_snapshot": "repro.unites.metrics",
     # repository
     "MetricRepository": "repro.unites.repository",
-    "Sample": "repro.unites.repository",
     # collection facade
     "UNITES": "repro.unites.collect",
-    "SessionCollector": "repro.unites.collect",
     # analysis / presentation
     "compare": "repro.unites.analyze",
     "percentile": "repro.unites.analyze",
@@ -45,7 +44,6 @@ _EXPORTS = {
     "render_csv": "repro.unites.present",
     "render_series": "repro.unites.present",
     "render_table": "repro.unites.present",
-    "render_prometheus": "repro.unites.present",
     # experiment harness
     "Experiment": "repro.unites.experiment",
     "VariantResult": "repro.unites.experiment",
@@ -60,6 +58,7 @@ _EXPORTS = {
     "Counter": "repro.unites.obs.registry",
     "Gauge": "repro.unites.obs.registry",
     "Histogram": "repro.unites.obs.registry",
+    "render_prometheus": "repro.unites.obs.exporters",
     "to_chrome_trace": "repro.unites.obs.exporters",
     "write_chrome_trace": "repro.unites.obs.exporters",
     "to_jsonl": "repro.unites.obs.exporters",

@@ -1,20 +1,22 @@
-"""Metric collectors and the UNITES facade.
+"""The UNITES facade: one sampler feeding the metric repository.
 
 Two collection routes, matching §4.3's two monitoring modes:
 
 1. applications request metrics through the ACD's Transport Measurement
-   Component — MANTTS calls :meth:`UNITES.instrument` and the collector
-   samples the instrumented session at the TMC's rate;
+   Component — MANTTS calls :meth:`UNITES.instrument`, which samples the
+   instrumented session at the TMC's rate;
 2. experimenters request metrics directly (:meth:`UNITES.watch_session`,
-   :meth:`UNITES.watch_host`) — the language/graphics interface of the
+   :meth:`UNITES.watch_host`, ...) — the language/graphics interface of the
    paper is replaced by this programmatic one.
 
-All samples land in the shared :class:`~repro.unites.repository.MetricRepository`.
+Each route is a sample function run by the one periodic sampler, whose
+:class:`~repro.sim.timers.Timer` it returns; every sample lands in the
+shared :class:`~repro.unites.repository.MetricRepository`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
@@ -27,54 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mantts.api import AdaptiveConnection
     from repro.tko.session import TKOSession
 
-
-class SessionCollector:
-    """Periodic sampler for one session's metric set."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        repository: MetricRepository,
-        session: "TKOSession",
-        entity: str,
-        metrics: Iterable[str],
-        interval: float = 0.5,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("sampling interval must be positive")
-        unknown = [m for m in metrics if m not in METRICS]
-        if unknown:
-            raise KeyError(f"unknown metrics requested: {unknown}")
-        self.sim = sim
-        self.repository = repository
-        self.session = session
-        self.entity = entity
-        self.metrics = list(metrics)
-        self.interval = interval
-        self.samples_taken = 0
-        self._timer = Timer(sim, self._tick, interval=interval, periodic=True)
-
-    def start(self) -> None:
-        self._timer.schedule(self.interval)
-
-    def stop(self) -> None:
-        self._timer.cancel()
-
-    def _tick(self) -> None:
-        if self.session.closed:
-            # one final sample at close, then stand down
-            self._sample()
-            self.stop()
-            return
-        self._sample()
-
-    def _sample(self) -> None:
-        self.samples_taken += 1
-        registry = _TELEMETRY.metrics if _TELEMETRY.enabled else None
-        values = session_snapshot(
-            self.session, self.metrics, registry=registry, entity=self.entity
-        )
-        self.repository.record_many(self.sim.now, "session", self.entity, values)
+#: entity -> {metric: value}: one sample's rows within one scope
+Rows = Dict[str, Dict[str, Optional[float]]]
 
 
 class UNITES:
@@ -83,27 +39,45 @@ class UNITES:
     def __init__(self, sim: Simulator, repository: Optional[MetricRepository] = None) -> None:
         self.sim = sim
         self.repository = repository if repository is not None else MetricRepository()
-        self.collectors: List[SessionCollector] = []
         #: connection ref -> TMC presentation format requested in the ACD
         self._presentations: dict = {}
 
     # ------------------------------------------------------------------
-    def instrument(self, connection: "AdaptiveConnection", tmc: "TMC") -> SessionCollector:
+    def _sample_every(
+        self,
+        interval: float,
+        scope: str,
+        sample: Callable[[], Rows],
+        last: Optional[Callable[[], bool]] = None,
+    ) -> Timer:
+        """The one collection loop: every ``interval`` seconds, record the
+        rows ``sample()`` returns under ``scope``; stand down after the
+        sample taken once ``last()`` is true."""
+        if interval <= 0:
+            raise ValueError("sampling interval must be positive")
+
+        def tick() -> None:
+            for entity, values in sample().items():
+                self.repository.record_many(self.sim.now, scope, entity, values)
+            if last is not None and last():
+                timer.cancel()
+
+        timer = Timer(self.sim, tick, interval=interval, periodic=True)
+        timer.schedule(interval)
+        return timer
+
+    # ------------------------------------------------------------------
+    def instrument(self, connection: "AdaptiveConnection", tmc: "TMC") -> Timer:
         """Honour an ACD's Transport Measurement Component (route 1)."""
         assert connection.session is not None
-        metrics = list(tmc.metrics) if tmc.metrics else list(METRICS)
-        collector = SessionCollector(
-            self.sim,
-            self.repository,
+        timer = self.watch_session(
             connection.session,
-            entity=connection.ref,
-            metrics=metrics,
+            connection.ref,
+            metrics=tmc.metrics or None,
             interval=tmc.sampling_interval,
         )
-        collector.start()
-        self.collectors.append(collector)
         self._presentations[connection.ref] = tmc.presentation
-        return collector
+        return timer
 
     def render_tmc(self, conn_ref: str) -> str:
         """Render one instrumented connection's metrics in the format its
@@ -138,42 +112,34 @@ class UNITES:
         entity: str,
         metrics: Optional[Iterable[str]] = None,
         interval: float = 0.5,
-    ) -> SessionCollector:
-        """Experimenter-driven collection (route 2)."""
-        collector = SessionCollector(
-            self.sim,
-            self.repository,
-            session,
-            entity=entity,
-            metrics=list(metrics) if metrics is not None else list(METRICS),
-            interval=interval,
-        )
-        collector.start()
-        self.collectors.append(collector)
-        return collector
+    ) -> Timer:
+        """Experimenter-driven collection (route 2); stands down after
+        the first sample taken once the session has closed."""
+        chosen = list(metrics) if metrics is not None else list(METRICS)
+        unknown = [m for m in chosen if m not in METRICS]
+        if unknown:
+            raise KeyError(f"unknown metrics requested: {unknown}")
+
+        def sample() -> Rows:
+            registry = _TELEMETRY.metrics if _TELEMETRY.enabled else None
+            return {entity: session_snapshot(session, chosen, registry=registry, entity=entity)}
+
+        return self._sample_every(interval, "session", sample, last=lambda: session.closed)
 
     def watch_host(self, host, interval: float = 0.5) -> Timer:
         """Sample host-scope metrics (CPU utilization, buffer pressure)."""
-
         start_time = self.sim.now
 
-        def tick() -> None:
+        def sample() -> Rows:
             elapsed = max(1e-9, self.sim.now - start_time)
-            self.repository.record_many(
-                self.sim.now,
-                "host",
-                host.name,
-                {
-                    "cpu_utilization": host.cpu.utilization(elapsed),
-                    "buffer_fill": host.buffers.fill_fraction,
-                    "frames_sent": float(host.frames_sent),
-                    "frames_received": float(host.frames_received),
-                },
-            )
+            return {host.name: {
+                "cpu_utilization": host.cpu.utilization(elapsed),
+                "buffer_fill": host.buffers.fill_fraction,
+                "frames_sent": float(host.frames_sent),
+                "frames_received": float(host.frames_received),
+            }}
 
-        timer = Timer(self.sim, tick, interval=interval, periodic=True)
-        timer.schedule(interval)
-        return timer
+        return self._sample_every(interval, "host", sample)
 
     def watch_manager(self, manager, interval: float = 0.5) -> Timer:
         """Sample a host's connection-manager population gauges.
@@ -183,15 +149,9 @@ class UNITES:
         admission verdicts, and timer-group occupancy — the per-host
         scale view the connection-management layer maintains.
         """
-
-        def tick() -> None:
-            self.repository.record_many(
-                self.sim.now, "host", manager.host.name, manager.snapshot()
-            )
-
-        timer = Timer(self.sim, tick, interval=interval, periodic=True)
-        timer.schedule(interval)
-        return timer
+        return self._sample_every(
+            interval, "host", lambda: {manager.host.name: manager.snapshot()}
+        )
 
     def watch_network(self, network, interval: float = 0.5) -> Timer:
         """Sample per-link counters into the repository's "link" scope.
@@ -201,62 +161,36 @@ class UNITES:
         """
         start_time = self.sim.now
 
-        def tick() -> None:
+        def sample() -> Rows:
             elapsed = max(1e-9, self.sim.now - start_time)
+            rows: Rows = {}
             for link in network.links.values():
                 st = link.stats
-                self.repository.record_many(
-                    self.sim.now,
-                    "link",
-                    link.name,
-                    {
-                        "frames_enqueued": float(st.enqueued),
-                        "frames_delivered": float(st.delivered),
-                        "frames_dropped": float(
-                            st.dropped_overflow + st.dropped_down + st.dropped_mtu
-                        ),
-                        "frames_corrupted": float(st.corrupted),
-                        "queue_len": float(link.queue_len),
-                        "utilization": st.utilization(elapsed),
-                    },
-                )
+                rows[link.name] = {
+                    "frames_enqueued": float(st.enqueued),
+                    "frames_delivered": float(st.delivered),
+                    "frames_dropped": float(
+                        st.dropped_overflow + st.dropped_down + st.dropped_mtu
+                    ),
+                    "frames_corrupted": float(st.corrupted),
+                    "queue_len": float(link.queue_len),
+                    "utilization": st.utilization(elapsed),
+                }
+            return rows
 
-        timer = Timer(self.sim, tick, interval=interval, periodic=True)
-        timer.schedule(interval)
-        return timer
+        return self._sample_every(interval, "link", sample)
 
     def watch_telemetry(self, interval: float = 0.5) -> Timer:
-        """Periodically route the UNITES-X registry into the repository.
-
-        The bridge that lets :meth:`report` and the experiment harness see
-        push-side telemetry (kernel gauges, link counters, mechanism
-        invocation counts) as ordinary repository samples.
+        """Sample the UNITES-X registry's flat snapshot (kernel gauges,
+        link counters, mechanism invocation counts) into the "system"
+        scope, so :meth:`report` and the experiment harness read push-side
+        telemetry as ordinary repository rows (none while it is disabled).
         """
-
-        def tick() -> None:
-            if _TELEMETRY.enabled:
-                _TELEMETRY.metrics.to_repository(self.repository, self.sim.now)
-
-        timer = Timer(self.sim, tick, interval=interval, periodic=True)
-        timer.schedule(interval)
-        return timer
-
-    def prometheus(self) -> str:
-        """The UNITES-X registry in Prometheus text exposition format."""
-        from repro.unites.obs.exporters import render_prometheus
-
-        return render_prometheus(_TELEMETRY.metrics)
-
-    # ------------------------------------------------------------------
-    def final_snapshot(self, session: "TKOSession", entity: str) -> Dict[str, Optional[float]]:
-        """One complete snapshot, recorded and returned (end-of-run)."""
-        values = session_snapshot(session)
-        self.repository.record_many(self.sim.now, "session", entity, values)
-        return values
-
-    def stop_all(self) -> None:
-        for c in self.collectors:
-            c.stop()
+        return self._sample_every(
+            interval,
+            "system",
+            lambda: {"": _TELEMETRY.metrics.snapshot()} if _TELEMETRY.enabled else {},
+        )
 
     # ------------------------------------------------------------------
     def report(self) -> str:
@@ -270,7 +204,7 @@ class UNITES:
         from repro.unites.present import render_table
 
         repo = self.repository
-        sections = []
+        sections, systemwide = [], []
         for scope, title in (
             ("session", "per-connection"),
             ("host", "per-host"),
@@ -288,21 +222,13 @@ class UNITES:
                 rows.append(row)
             sections.append(render_table(rows, ["entity", *metrics],
                                          title=f"== UNITES {title} =="))
-        # systemwide: mean of each session metric across entities
-        sess_entities = repo.entities("session")
-        if sess_entities:
-            metrics = sorted(
-                {m for e in sess_entities for m in repo.metrics_for("session", e)}
-            )
-            row: dict = {"entity": "system"}
-            for m in metrics:
-                values = [
-                    repo.latest(m, "session", e)
-                    for e in sess_entities
-                    if repo.latest(m, "session", e) is not None
-                ]
-                row[m] = sum(values) / len(values) if values else None
-            sections.append(
-                render_table([row], ["entity", *metrics], title="== UNITES systemwide ==")
-            )
+            if scope == "session":
+                # systemwide: mean of each session metric across entities
+                row = {"entity": "system"}
+                for m in metrics:
+                    values = [r[m] for r in rows if r[m] is not None]
+                    row[m] = sum(values) / len(values) if values else None
+                systemwide.append(render_table([row], ["entity", *metrics],
+                                               title="== UNITES systemwide =="))
+        sections += systemwide
         return "\n\n".join(sections) if sections else "(no metrics collected)"

@@ -3,12 +3,12 @@
 The base UNITES catalogue (:mod:`repro.unites.metrics`) evaluates *session*
 state on demand; the registry is the complementary push-side store that any
 layer can increment as events happen — the kernel counts dispatches, links
-count drops, mechanisms count invocations.  All three metric types render
-to Prometheus text (:func:`repro.unites.obs.exporters.render_prometheus`)
-and route into the existing
-:class:`~repro.unites.repository.MetricRepository` via
-:meth:`MetricRegistry.to_repository`, so ``UNITES.report()`` and the A/B
-harness compose with them unchanged.
+count drops, mechanisms count invocations.  The registry holds what each
+metric is *now*; the :class:`~repro.unites.repository.MetricRepository`
+holds how it moved, written by the one UNITES sampler
+(``UNITES.watch_telemetry`` samples :meth:`MetricRegistry.snapshot`).  All
+three metric types render to Prometheus text
+(:func:`repro.unites.obs.exporters.render_prometheus`).
 
 This module is a leaf: stdlib only, importable from the sim kernel.
 """
@@ -203,18 +203,6 @@ class MetricRegistry:
             else:
                 out[m.flat_name] = m.value
         return out
-
-    def to_repository(self, repository, time: float, scope: str = "system", entity: str = "") -> int:
-        """Route the current values into a UNITES ``MetricRepository``.
-
-        Returns the number of samples recorded.  This is the bridge that
-        lets ``UNITES.report()`` / ``watch_*`` and the experiment harness
-        consume push-side telemetry alongside pull-side session snapshots.
-        """
-        values = self.snapshot()
-        for flat, value in values.items():
-            repository.record(time, scope, entity, flat, value)
-        return len(values)
 
     def reset(self) -> None:
         self._metrics.clear()

@@ -57,21 +57,6 @@ def render_csv(rows: Sequence[Dict[str, object]], columns: Optional[Sequence[str
     return "\n".join(out)
 
 
-def render_prometheus(registry=None) -> str:
-    """Prometheus text exposition of a UNITES-X registry.
-
-    Defaults to the global telemetry handle's registry — the Figure 6
-    display box's "SNMP/CMIP export", three decades on.
-    """
-    from repro.unites.obs.exporters import render_prometheus as _render
-
-    if registry is None:
-        from repro.unites.obs.telemetry import TELEMETRY
-
-        registry = TELEMETRY.metrics
-    return _render(registry)
-
-
 def render_series(
     series: Sequence[Tuple[float, float]],
     width: int = 60,

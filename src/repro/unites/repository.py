@@ -3,38 +3,30 @@
 "The UNITES Metric Repository stores the collected metric information in a
 database ... presented in either a systemwide, per-host, or per-connection
 manner."  Samples are (time, scope, entity, metric, value) rows held in
-memory with simple secondary indexing; queries return time series or
-aggregates at any scope (a per-link scope extends the paper's three for
-the UNITES-X network instrumentation, and a per-sweep-cell scope holds the
-results that :mod:`repro.sweep` campaigns stream back).
+memory, one time series per (scope, entity, metric); queries return time
+series or aggregates at any scope (a per-link scope extends the paper's
+three for the UNITES-X network instrumentation, and a per-sweep-cell scope
+holds the results that :mod:`repro.sweep` campaigns stream back).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from heapq import merge
 from typing import Dict, List, Optional, Tuple
 
 SCOPES = ("session", "host", "link", "system", "sweep")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One stored measurement."""
-
-    time: float
-    scope: str          #: "session" | "host" | "link" | "system" | "sweep"
-    entity: str         #: connection ref / host name / link name / sweep cell / ""
-    metric: str
-    value: float
-
-
 class MetricRepository:
-    """In-memory measurement database with scope/metric indexing."""
+    """In-memory measurement database: one series per scope/entity/metric.
+
+    Each stored sample is ``(n, time, value)``, ``n`` its place in the
+    recording order, so a query across series answers in that order.
+    """
 
     def __init__(self) -> None:
-        self._samples: List[Sample] = []
-        self._by_key: Dict[Tuple[str, str, str], List[Sample]] = defaultdict(list)
+        self._series: Dict[Tuple[str, str, str], List[Tuple[int, float, float]]] = {}
+        self._n = 0
 
     # ------------------------------------------------------------------
     def record(self, time: float, scope: str, entity: str, metric: str, value: float) -> None:
@@ -42,9 +34,10 @@ class MetricRepository:
             raise ValueError(f"scope must be one of {SCOPES}")
         if value is None:
             return
-        s = Sample(time, scope, entity, metric, float(value))
-        self._samples.append(s)
-        self._by_key[(scope, entity, metric)].append(s)
+        self._series.setdefault((scope, entity, metric), []).append(
+            (self._n, time, float(value))
+        )
+        self._n += 1
 
     def record_many(self, time: float, scope: str, entity: str, values: Dict[str, Optional[float]]) -> None:
         for metric, value in values.items():
@@ -54,32 +47,31 @@ class MetricRepository:
     # ------------------------------------------------------------------
     def series(self, metric: str, scope: str = "session", entity: str = "") -> List[Tuple[float, float]]:
         """Time series of one metric for one entity."""
-        return [(s.time, s.value) for s in self._by_key.get((scope, entity, metric), [])]
+        return [(t, v) for _, t, v in self._series.get((scope, entity, metric), [])]
 
     def latest(self, metric: str, scope: str = "session", entity: str = "") -> Optional[float]:
-        rows = self._by_key.get((scope, entity, metric))
-        return rows[-1].value if rows else None
+        rows = self._series.get((scope, entity, metric))
+        return rows[-1][2] if rows else None
 
     def values(self, metric: str, scope: Optional[str] = None) -> List[float]:
         """All values of one metric, across entities (systemwide view)."""
-        return [
-            s.value
-            for s in self._samples
-            if s.metric == metric and (scope is None or s.scope == scope)
+        chosen = [
+            rows
+            for (s, _, m), rows in self._series.items()
+            if m == metric and (scope is None or s == scope)
         ]
+        return [v for _, _, v in merge(*chosen)]
 
     def entities(self, scope: str) -> List[str]:
-        return sorted({s.entity for s in self._samples if s.scope == scope})
+        return sorted({e for s, e, _ in self._series if s == scope})
 
     def metrics_for(self, scope: str, entity: str) -> List[str]:
-        return sorted(
-            {s.metric for s in self._samples if s.scope == scope and s.entity == entity}
-        )
+        return sorted({m for s, e, m in self._series if s == scope and e == entity})
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._samples)
+        return self._n
 
     def clear(self) -> None:
-        self._samples.clear()
-        self._by_key.clear()
+        self._series.clear()
+        self._n = 0

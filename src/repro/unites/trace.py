@@ -27,6 +27,9 @@ EVENTS = (
     "retransmit",
     "deliver",
     "segue",
+    "pause",
+    "resume",
+    "close",
     "abort",
 )
 

@@ -156,7 +156,14 @@ class TestParallelIdentity:
         r1, r2 = MetricRepository(), MetricRepository()
         SweepRunner(SCENARIO_SPEC, workers=1, repository=r1).run()
         SweepRunner(SCENARIO_SPEC, workers=3, repository=r2).run()
-        assert r1._samples == r2._samples
+        cells = r1.entities("sweep")
+        assert cells and cells == r2.entities("sweep")
+        for cell in cells:
+            metrics = r1.metrics_for("sweep", cell)
+            assert metrics == r2.metrics_for("sweep", cell)
+            for m in metrics:
+                assert r1.series(m, "sweep", cell) == r2.series(m, "sweep", cell)
+        assert len(r1) == len(r2)
 
     def test_worker_count_capped_by_cells(self):
         spec = ScenarioSpec("g", arithmetic_cell, grid={"x": [1, 2]},

@@ -259,3 +259,41 @@ def test_an_ended_session_is_checked_only_where_a_caller_comes_in():
     assert "_closed" not in (SRC / "tko" / "genexec.py").read_text()
     # no stand-in session for a retired executor to point at
     assert "_CLOSED" not in names_used(SRC / "tko" / "session.py")
+
+
+def test_every_notified_session_event_is_one_a_tracer_can_name():
+    """A ``SessionTracer`` filter rejects names outside ``EVENTS``, so an
+    event a session emits but ``EVENTS`` lacks could be recorded only
+    unfiltered."""
+    from repro.unites.trace import EVENTS
+
+    oracles = Path(__file__).resolve().parent / "oracles"
+    emitted = {}
+    for path in sorted(SRC.rglob("*.py")) + sorted(oracles.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_notify" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                emitted.setdefault(node.args[0].value, f"{path.name}:{node.lineno}")
+    assert len(emitted) >= 10  # the walk found the emitters
+    unknown = [f"{where}: {event!r}" for event, where in emitted.items()
+               if event not in EVENTS]
+    assert not unknown, "\n".join(unknown)
+
+
+#: the copy paths between collection and the repository that the one
+#: UNITES sampler replaced
+UNITES_COPY_PATHS = {"SessionCollector", "collectors", "to_repository",
+                     "prometheus", "final_snapshot", "stop_all"}
+
+
+def test_unites_collects_through_one_sampler():
+    collect = SRC / "unites" / "collect.py"
+    timers = [node.lineno for node in ast.walk(ast.parse(collect.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "Timer"]
+    assert len(timers) == 1, f"collect.py constructs a Timer at lines {timers}"
+    offenders = [f"{path.relative_to(SRC.parent)}: {name}"
+                 for path in sorted((SRC / "unites").rglob("*.py"))
+                 for name in sorted(names_used(path) & UNITES_COPY_PATHS)]
+    assert not offenders, "\n".join(offenders)

@@ -97,13 +97,16 @@ class TestRegistry:
         assert [m.name for m in r.collect()] == ["c", "g", "h"]
         assert len(r) == 3
 
-    def test_to_repository_bridge(self):
-        r = MetricRegistry()
-        r.counter("kernel_events_total").inc(7)
-        repo = MetricRepository()
-        n = r.to_repository(repo, time=1.0)
-        assert n == 1
-        assert repo.latest("kernel_events_total", "system", "") == 7.0
+    def test_watch_telemetry_records_the_registry_snapshot(self):
+        from repro.unites.collect import UNITES
+
+        sim = Simulator()
+        TELEMETRY.enable(sim=sim)
+        TELEMETRY.metrics.counter("kernel_events_total").inc(7)
+        u = UNITES(sim)
+        u.watch_telemetry(interval=1.0)
+        sim.run(until=1.5)
+        assert u.repository.series("kernel_events_total", "system", "") == [(1.0, 7.0)]
 
     def test_link_scope_accepted(self):
         repo = MetricRepository()
@@ -261,12 +264,10 @@ class TestExporters:
                   if line.startswith("handler_s_bucket")]
         assert counts == sorted(counts)
 
-    def test_present_render_prometheus_wrapper(self):
-        from repro.unites.present import render_prometheus as present_render
+    def test_package_render_prometheus_is_the_exporter(self):
+        import repro.unites as unites
 
-        TELEMETRY.enable()
-        TELEMETRY.metrics.counter("via_wrapper_total").inc()
-        assert "via_wrapper_total 1" in present_render()
+        assert unites.render_prometheus is render_prometheus
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +393,7 @@ class TestFullStack:
             u.repository.latest("kernel_events_dispatched_total", "system", "")
             > 0
         )
-        text = u.prometheus()
+        text = render_prometheus(TELEMETRY.metrics)
         assert "# TYPE kernel_events_dispatched_total counter" in text
         report = u.report()
         assert "per-link" in report

@@ -144,6 +144,20 @@ class TestSessionTracer:
         aborts = tracer.of_kind("abort")
         assert aborts and "reason" in aborts[0].details
 
+    def test_filter_on_pause_resume_and_close(self):
+        # every event a session emits is one a filter may name
+        w = TwoHosts()
+        w.listen()
+        s = w.open(SessionConfig())
+        tracer = SessionTracer(events=["pause", "resume", "close"]).attach(s)
+        w.sim.run(until=0.5)
+        s.pause()
+        s.resume()
+        s.send(b"x")
+        w.sim.schedule(0.5, s.close)
+        w.sim.run(until=5.0)
+        assert [e.event for e in tracer.events] == ["pause", "resume", "close"]
+
 
 class _StubHost:
     name = "A"

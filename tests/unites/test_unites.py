@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.core.system import AdaptiveSystem
+from repro.mantts.acd import ACD, TMC
+from repro.mantts.qos import QualitativeQoS, QuantitativeQoS
+from repro.netsim.profiles import ethernet_10, linear_path
 from repro.tko.config import SessionConfig
 from repro.unites.analyze import compare, percentile, summarize, time_weighted_mean
-from repro.unites.collect import UNITES, SessionCollector
+from repro.unites.collect import UNITES
 from repro.unites.experiment import Experiment
 from repro.unites.metrics import BLACKBOX, METRICS, WHITEBOX, session_snapshot
+from repro.unites.obs.telemetry import TELEMETRY
 from repro.unites.present import render_csv, render_series, render_table
 from repro.unites.repository import MetricRepository
 from tests.conftest import TwoHosts
@@ -100,21 +105,22 @@ class TestCollector:
         w.listen()
         s = w.open(SessionConfig())
         unites = UNITES(w.sim)
-        c = unites.watch_session(s, "c1", metrics=["rtt"], interval=0.1)
+        timer = unites.watch_session(s, "c1", metrics=["rtt"], interval=0.1)
         s.send(b"x")
         w.sim.schedule(0.5, s.close)
         w.sim.run(until=3.0)
-        n = c.samples_taken
+        assert not timer.armed
+        n = len(unites.repository)
         w.sim.schedule(3.0, lambda: None)
         w.sim.run(until=5.0)
-        assert c.samples_taken == n
+        assert len(unites.repository) == n
 
     def test_unknown_metric_rejected(self):
         w = TwoHosts()
         w.listen()
         s = w.open(SessionConfig())
         with pytest.raises(KeyError):
-            SessionCollector(w.sim, MetricRepository(), s, "c", ["zap"])
+            UNITES(w.sim).watch_session(s, "c", metrics=["zap"])
 
     def test_watch_host(self):
         w = TwoHosts()
@@ -123,6 +129,95 @@ class TestCollector:
         w.sim.run(until=1.0)
         assert unites.repository.series("cpu_utilization", "host", "A")
         timer.cancel()
+
+
+#: the six collection routes, each started at one instant on one world
+ROUTES = ("instrument", "watch_session", "watch_host", "watch_manager",
+          "watch_network", "watch_telemetry")
+SESSION_ROUTES = ("instrument", "watch_session")
+INTERVAL = 0.1
+
+
+def connected_world():
+    """An initiator A with one established connection to B, no TMC."""
+    sysm = AdaptiveSystem(seed=21)
+    sysm.attach_network(linear_path(sysm.sim, ethernet_10(), ("A", "B"), rng=sysm.rng))
+    a, b = sysm.node("A"), sysm.node("B")
+    b.mantts.register_service(7000, on_deliver=lambda d, m: None)
+    conn = a.mantts.open(ACD(participants=("B",),
+                             quantitative=QuantitativeQoS(duration=600),
+                             qualitative=QualitativeQoS()))
+    sysm.run(until=0.5)
+    assert conn.session is not None and conn.session.connected
+    return sysm, a, conn
+
+
+def start_route(route, sysm, a, conn):
+    """Start ``route`` now; return its handle and the scope / entity its
+    rows must land under."""
+    u = sysm.unites
+    if route == "instrument":
+        tmc = TMC(metrics=("acks_sent",), sampling_interval=INTERVAL)
+        return u.instrument(conn, tmc), "session", conn.ref
+    if route == "watch_session":
+        return (u.watch_session(conn.session, "c1", metrics=["acks_sent"],
+                                interval=INTERVAL), "session", "c1")
+    if route == "watch_host":
+        return u.watch_host(a.host, interval=INTERVAL), "host", "A"
+    if route == "watch_manager":
+        return u.watch_manager(a.mantts.manager, interval=INTERVAL), "host", "A"
+    if route == "watch_network":
+        return u.watch_network(sysm.network, interval=INTERVAL), "link", "A->s1"
+    TELEMETRY.enable(sim=sysm.sim)
+    # the registry would be empty until the kernel counts its first dispatch
+    TELEMETRY.metrics.counter("probe_total").inc()
+    return u.watch_telemetry(interval=INTERVAL), "system", ""
+
+
+def sample_times(repo, scope, entity):
+    return sorted({t for m in repo.metrics_for(scope, entity)
+                   for t, _ in repo.series(m, scope, entity)})
+
+
+class TestEveryRoute:
+    @pytest.fixture(autouse=True)
+    def clean_global_telemetry(self):
+        yield
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_route_samples_until_cancelled_or_closed(self, route):
+        sysm, a, conn = connected_world()
+        repo = sysm.unites.repository
+        t0 = sysm.now
+        handle, scope, entity = start_route(route, sysm, a, conn)
+        sysm.run(until=t0 + 3.5 * INTERVAL)
+        # rows land under the route's scope and entity, at its instants
+        assert sample_times(repo, scope, entity) == pytest.approx(
+            [t0 + k * INTERVAL for k in (1, 2, 3)])
+        in_scope = sum(len(repo.series(m, scope, e)) for e in repo.entities(scope)
+                       for m in repo.metrics_for(scope, e))
+        assert in_scope == len(repo) > 0
+        # the handle every route returns stops it
+        handle.cancel()
+        n = len(repo)
+        sysm.run(until=t0 + 10 * INTERVAL)
+        assert len(repo) == n
+
+        if route not in SESSION_ROUTES:
+            return
+        # a session route takes one sample after its session has closed,
+        # then stands down by itself
+        sysm, a, conn = connected_world()
+        handle, scope, entity = start_route(route, sysm, a, conn)
+        session = conn.session
+        conn.close()
+        sysm.run(until=sysm.now + 5.0)
+        assert session.closed and not handle.armed
+        closed_at = session.stats.closed_at
+        assert [t for t in sample_times(sysm.unites.repository, scope, entity)
+                if t >= closed_at] == [pytest.approx(closed_at, abs=INTERVAL)]
 
 
 class TestAnalysis:
